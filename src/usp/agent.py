@@ -1,11 +1,13 @@
 """Agents that run the session machines over live streams.
 
 The server agent accepts connections, drives each one through the
-handshake in its own thread, and hands the still-live stream plus the
-established IdentityContext to the registered application handler. The
-handler never sees a byte that arrived before the handshake finished:
-data sent ahead of the connect confirmation aborts the session instead
-of being buffered.
+handshake on a reused worker thread, and hands the still-live stream plus
+the established IdentityContext to the registered application handler,
+which runs on the same worker. A new worker starts only when every
+existing one is busy, and workers live until shutdown(), so the thread
+count equals the peak number of concurrent sessions. The handler never
+sees a byte that arrived before the handshake finished: data sent ahead
+of the connect confirmation aborts the session instead of being buffered.
 
 The client agent performs a single connect or a token acquisition; both
 are synchronous and return once the session is settled.
@@ -14,6 +16,7 @@ are synchronous and return once the session is settled.
 from __future__ import annotations
 
 import json
+import queue
 import random
 import secrets
 import threading
@@ -252,13 +255,13 @@ def _drive_server(
     registry: Mapping[str, AuthProtocol],
     handlers: Mapping[str, Handler],
     handshake_timeout: float,
+    started_at: float,
 ) -> SessionRecord:
     chan = FrameChannel(stream)
     trace: list[TraceEntry] = []
     state = initial_server_state()
     pending: deque[SessionEvent] = deque()
     live_handle = None
-    started_at = env.clock()
     deadline = started_at + handshake_timeout
     handoff_ctx: IdentityContext | None = None
     detail: str | None = None
@@ -366,7 +369,15 @@ def _drive_server(
 
 
 class ServerHandle:
-    """A running server; thread-safe counters and orderly shutdown."""
+    """A running server; thread-safe counters and orderly shutdown.
+
+    Accepted connections are queued for a pool of daemon worker threads.
+    A worker runs one session at a time, handshake and handler, then takes
+    the next. The acceptor starts a new worker only when no worker is
+    idle, so every handshake starts at once; the pool never shrinks before
+    shutdown(), so it holds as many threads as the peak number of
+    concurrent sessions.
+    """
 
     def __init__(
         self,
@@ -387,8 +398,13 @@ class ServerHandle:
         self._log = log
         self._lock = threading.Lock()
         self._records: list[SessionRecord] = []
+        self._handoffs = 0
         self._live_streams: dict[int, StreamHandle] = {}
-        self._threads: list[threading.Thread] = []
+        # (sid, stream) per accepted connection; None tells a worker to exit.
+        self._sessions: queue.SimpleQueue[tuple[int, StreamHandle] | None] = queue.SimpleQueue()
+        # Counts idle workers, as ThreadPoolExecutor._idle_semaphore does.
+        self._idle = threading.Semaphore(0)
+        self._workers: list[threading.Thread] = []
         self._stopping = False
         self._next_id = 0
         self._acceptor = threading.Thread(target=self._accept_loop, daemon=True)
@@ -407,7 +423,7 @@ class ServerHandle:
     @property
     def handoff_count(self) -> int:
         with self._lock:
-            return sum(1 for r in self._records if r.outcome == "handed_off")
+            return self._handoffs
 
     def _accept_loop(self) -> None:
         while True:
@@ -423,14 +439,27 @@ class ServerHandle:
                 sid = self._next_id
                 self._next_id += 1
                 self._live_streams[sid] = stream
-            thread = threading.Thread(target=self._run_session, args=(sid, stream), daemon=True)
-            with self._lock:
-                self._threads.append(thread)
-            thread.start()
+            self._sessions.put((sid, stream))
+            if not self._idle.acquire(blocking=False):
+                worker = threading.Thread(target=self._work, daemon=True)
+                with self._lock:
+                    self._workers.append(worker)
+                worker.start()
+
+    def _work(self) -> None:
+        while True:
+            item = self._sessions.get()
+            if item is None:
+                return
+            self._run_session(*item)
+            self._idle.release()
 
     def _run_session(self, sid: int, stream: StreamHandle) -> None:
+        started_at = self._env.clock()
         try:
-            record = _drive_server(stream, self._env, self._registry, self._handlers, self._timeout)
+            record = _drive_server(
+                stream, self._env, self._registry, self._handlers, self._timeout, started_at
+            )
         except Exception as exc:
             # Isolation: one broken session never takes the server down.
             try:
@@ -444,12 +473,14 @@ class ServerHandle:
                 identity=None,
                 method=None,
                 detail=str(exc),
-                started_at=self._env.clock(),
+                started_at=started_at,
                 ended_at=self._env.clock(),
                 trace=(),
             )
         with self._lock:
             self._records.append(record)
+            if record.outcome == "handed_off":
+                self._handoffs += 1
             self._live_streams.pop(sid, None)
         if self._observer is not None:
             self._observer(record)
@@ -458,19 +489,27 @@ class ServerHandle:
             self._log.flush()
 
     def shutdown(self, timeout: float = 5.0) -> None:
+        """Stop accepting, close live streams and wait for the workers.
+
+        ``timeout`` bounds the whole call, however many workers there are;
+        a handler that ignores its closed stream keeps its (daemon) worker.
+        """
+        deadline = time.monotonic() + timeout
         self._stopping = True
         self._listener.close()
         self._acceptor.join(timeout)
         with self._lock:
             streams = list(self._live_streams.values())
-            threads = list(self._threads)
+            workers = list(self._workers)
         for stream in streams:
             try:
                 stream.close()
             except Exception:
                 pass
-        for thread in threads:
-            thread.join(timeout)
+        for _ in workers:
+            self._sessions.put(None)
+        for worker in workers:
+            worker.join(max(0.0, deadline - time.monotonic()))
 
 
 def serve(
@@ -485,9 +524,12 @@ def serve(
 ) -> ServerHandle:
     """Serve USP sessions from ``listener`` until shutdown().
 
-    Each accepted connection is driven independently; a handler is invoked
-    exactly once per successful handshake, with the live stream and the
-    established identity.
+    Each accepted connection is driven independently on a reused worker
+    thread; a new worker starts only when every existing one is busy, and
+    workers live until shutdown(), so the thread count equals the peak
+    number of concurrent sessions. A handler is invoked exactly once per
+    successful handshake, with the live stream and the established
+    identity.
     """
     clock = clock or time.time
     rng = rng or random.SystemRandom()

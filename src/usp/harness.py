@@ -634,7 +634,7 @@ def fuzz_malformed(seed: int, n: int, config: ServerConfig | None = None) -> Fuz
         client.write(payload)
         client.shutdown_write()
         try:
-            _drive_server(server, env, registry, handlers, config.handshake_timeout)
+            _drive_server(server, env, registry, handlers, config.handshake_timeout, clock())
         except Exception:
             crashes += 1
         responses[_classify_response(client)] += 1

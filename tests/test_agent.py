@@ -348,6 +348,187 @@ def test_handler_exception_is_isolated():
         handle.shutdown()
 
 
+def _serve_echo_app(handler):
+    """Serve one open "echo" app with ``handler`` on a fresh memory listener."""
+    config = ServerConfig(
+        registrations=(ApplicationRegistration("echo", False, handler),),
+        token_secret=SECRET,
+    )
+    listener = MemoryListener()
+    handle = serve(listener, config, clock=VirtualClock(), rng=random.Random(0))
+    return listener, handle
+
+
+def _wait_for(predicate, timeout=5.0):
+    import time
+
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached in time"
+        time.sleep(0.002)
+
+
+def test_sequential_sessions_reuse_worker_threads():
+    seen = []
+
+    def handler(stream, ctx):
+        seen.append(threading.current_thread())
+        echo_handler(stream, ctx)
+
+    listener, handle = _serve_echo_app(handler)
+    try:
+        for i in range(20):
+            stream, _ = connect(listener, "echo", clock=VirtualClock(), rng=random.Random(i))
+            stream.write(b"ping")
+            assert stream.read(10) == b"ping"
+            stream.close()
+            _wait_for(lambda: len(handle.records()) == i + 1)
+    finally:
+        handle.shutdown()
+    assert len(seen) == 20
+    # A finished session frees its worker for the next connection; only
+    # an accept that races a worker's return starts another thread.
+    assert len(set(seen)) <= 3
+    for thread in seen:
+        thread.join(5)
+        assert not thread.is_alive()
+
+
+def test_busy_sessions_never_delay_a_new_handshake():
+    barrier = threading.Barrier(8, timeout=5)
+    seen = []
+
+    def handler(stream, ctx):
+        seen.append(threading.current_thread())
+        barrier.wait()
+        stream.write(b"passed")
+        stream.close()
+
+    listener, handle = _serve_echo_app(handler)
+    try:
+        # Each handler blocks until all 8 have been handed off, so every
+        # handshake after the first needs a new worker at once. The client's
+        # real-time clock turns a handshake left waiting into a timeout.
+        streams = [connect(listener, "echo", rng=random.Random(i), timeout=5)[0] for i in range(8)]
+        for stream in streams:
+            assert stream.read(10, timeout=5) == b"passed"
+            stream.close()
+        _wait_for(lambda: len(handle.records()) == 8)
+    finally:
+        handle.shutdown()
+    assert all(r.outcome == "handed_off" and r.detail is None for r in handle.records())
+    assert len(set(seen)) == 8
+    for thread in seen:
+        thread.join(5)
+        assert not thread.is_alive()
+
+
+def test_pool_serves_every_connection_under_switch_stress():
+    import sys
+
+    listener, handle = _serve_echo_app(echo_handler)
+    done = []
+
+    def client(i):
+        for j in range(10):
+            stream, _ = connect(
+                listener, "echo", clock=VirtualClock(), rng=random.Random(100 * i + j)
+            )
+            stream.write(b"x")
+            assert stream.read(10) == b"x"
+            stream.close()
+        done.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        # More clients than cores; a connection queued with no worker to
+        # take it would leave its client waiting forever.
+        clients = [threading.Thread(target=client, args=(i,), daemon=True) for i in range(8)]
+        for t in clients:
+            t.start()
+        for t in clients:
+            t.join(20)
+            assert not t.is_alive()
+        _wait_for(lambda: len(handle.records()) == 80)
+    finally:
+        sys.setswitchinterval(interval)
+        handle.shutdown()
+    assert sorted(done) == list(range(8))
+    assert handle.handoff_count == 80
+
+
+def test_shutdown_timeout_bounds_the_whole_call():
+    import time
+
+    release = threading.Event()
+    started = threading.Semaphore(0)
+
+    def stubborn(stream, ctx):
+        # Ignores the stream that shutdown() closes under it.
+        started.release()
+        release.wait(10)
+
+    listener, handle = _serve_echo_app(stubborn)
+    try:
+        for i in range(4):
+            connect(listener, "echo", clock=VirtualClock(), rng=random.Random(i))
+        for _ in range(4):
+            assert started.acquire(timeout=5)
+        began = time.monotonic()
+        handle.shutdown(timeout=0.3)
+        elapsed = time.monotonic() - began
+    finally:
+        release.set()
+    # One join timeout per stuck worker would take at least 4 x 0.3 s.
+    assert elapsed < 0.9
+
+
+def test_internal_error_record_spans_the_session():
+    from usp.auth import AuthProtocol, make_registry
+    from usp.errors import UspError
+
+    class Broken(AuthProtocol):
+        name = "broken"
+
+        def begin(self, role, config):
+            raise RuntimeError("begin failed")
+
+    class TickingClock:
+        def __init__(self):
+            self._now = 1_000.0
+            self._lock = threading.Lock()
+
+        def __call__(self):
+            with self._lock:
+                self._now += 1.0
+                return self._now
+
+    config = ServerConfig(
+        registrations=(ApplicationRegistration("vault", True, echo_handler),),
+        token_secret=SECRET,
+        supported_auth=("broken",),
+    )
+    listener = MemoryListener()
+    handle = serve(
+        listener, config, clock=TickingClock(), rng=random.Random(0),
+        registry=make_registry(Broken()),
+    )
+    try:
+        with pytest.raises(UspError):
+            connect(listener, "vault", offered=("broken",), rng=random.Random(1))
+        _wait_for(lambda: handle.records())
+    finally:
+        handle.shutdown()
+    (record,) = handle.records()
+    assert record.outcome == "internal_error"
+    assert "begin failed" in (record.detail or "")
+    assert record.started_at < record.ended_at
+    # _drive_server reads the clock while it waits for the initialize, so a
+    # start stamped only after the failure would sit one tick before the end.
+    assert record.ended_at - record.started_at > 1.0
+
+
 def test_serve_over_tcp(server):
     listener = tcp_listen("127.0.0.1", 0)
     handle = serve(listener, server.config, clock=server.clock, rng=random.Random(0))
