@@ -47,7 +47,6 @@ from .errors import UspError
 from .session import (
     CLIENT_TO_SERVER,
     DEFAULT_HANDSHAKE_TIMEOUT,
-    DEFAULT_MAX_AUTH_ATTEMPTS,
     MALFORMED_ENTRY,
     NO_SHARED_PROTOCOL_TEXT,
     SERVER_TO_CLIENT,
@@ -152,7 +151,6 @@ class ServerConfig:
     supported_auth: tuple[str, ...] = (PSK_PROTOCOL_NAME,)
     psk_secrets: dict[str, bytes] = field(default_factory=dict)
     token_ttl: int = DEFAULT_TOKEN_TTL
-    max_auth_attempts: int = DEFAULT_MAX_AUTH_ATTEMPTS
     handshake_timeout: float = DEFAULT_HANDSHAKE_TIMEOUT
     lenient_coexistence: bool = False
     single_use_tokens: bool = False
@@ -557,7 +555,6 @@ def serve(
         clock=clock,
         rng=rng,
         token_ttl=config.token_ttl,
-        max_auth_attempts=config.max_auth_attempts,
         lenient_coexistence=config.lenient_coexistence,
         token_validator=validator,
     )
@@ -614,7 +611,6 @@ def load_server_config(path: str | Path, handler: Handler = echo_handler) -> Ser
         supported_auth=tuple(data.get("supported_auth", (PSK_PROTOCOL_NAME,))),
         psk_secrets=psk_secrets,
         token_ttl=int(data.get("token_ttl", DEFAULT_TOKEN_TTL)),
-        max_auth_attempts=int(data.get("max_auth_attempts", DEFAULT_MAX_AUTH_ATTEMPTS)),
         handshake_timeout=float(data.get("handshake_timeout", DEFAULT_HANDSHAKE_TIMEOUT)),
         lenient_coexistence=bool(data.get("lenient_coexistence", False)),
         single_use_tokens=bool(data.get("single_use_tokens", False)),

@@ -48,7 +48,6 @@ from .wire import (
 )
 
 DEFAULT_HANDSHAKE_TIMEOUT = 10.0
-DEFAULT_MAX_AUTH_ATTEMPTS = 1
 
 # Canonical error texts, fixed so clients can tell the failure modes apart.
 NO_SHARED_PROTOCOL_TEXT = "no shared authentication protocol"
@@ -141,7 +140,6 @@ class AwaitInitialize:
 class AuthInProgress:
     protocol: str
     streams: tuple[StreamRequest, ...]
-    attempts: int = 0
 
 
 @dataclass(frozen=True)
@@ -182,7 +180,6 @@ class ServerEnv:
     clock: Clock
     rng: random.Random
     token_ttl: int = DEFAULT_TOKEN_TTL
-    max_auth_attempts: int = DEFAULT_MAX_AUTH_ATTEMPTS
     lenient_coexistence: bool = False
     token_validator: Callable[[str, str], IdentityContext] | None = None
 
@@ -340,10 +337,6 @@ def _server_auth_step(
     if step.status is AuthStatus.PENDING:
         return state, actions
     if step.status is AuthStatus.FAIL:
-        attempts = state.attempts + 1
-        if attempts < env.max_auth_attempts:
-            actions.append(BeginAuth(state.protocol))
-            return AuthInProgress(state.protocol, state.streams, attempts), actions
         # Failure is reported by each side's authenticator; no error frame.
         actions.append(Close(CloseCause.AUTH_FAILED, step.reason))
         return Closed(CloseCause.AUTH_FAILED, step.reason), actions
@@ -549,23 +542,6 @@ class TraceEntry:
 
     def to_dict(self) -> dict:
         return {"dir": self.direction, "msg": self.name}
-
-
-MessageTrace = tuple[TraceEntry, ...]
-
-
-def trace_entries(pairs: Iterable[tuple[str, str]]) -> MessageTrace:
-    return tuple(TraceEntry(direction, name) for direction, name in pairs)
-
-
-def trace_of(run: object) -> list[tuple[str, str]]:
-    """Ordered (direction, message name) pairs from a completed run.
-
-    Accepts anything exposing a ``trace`` of TraceEntry, e.g. the session
-    records produced by the agent and harness.
-    """
-    trace = getattr(run, "trace")
-    return [(entry.direction, entry.name) for entry in trace]
 
 
 def non_authdata_count(trace: Iterable[TraceEntry]) -> int:

@@ -1,12 +1,15 @@
 """Byte-stream transports and framed message channels.
 
-Two interchangeable stream flavors: an in-memory duplex pair for
-deterministic tests (optionally with a scripted fault plan) and a TCP
-adapter for real interop. Both present the same contract: ordered,
-unduplicated bytes; read() returns b"" at end-of-stream; writes after
-the connection died raise ConnectionLost. close() tears down both
-directions, because every failure path in this protocol terminates the
-whole session; bytes already in flight remain readable by the peer.
+One stream implementation, SocketStream, serves both transports: TCP for
+real interop and an AF_UNIX socketpair (memory_pair, MemoryListener) for
+in-process tests, optionally cut at a scripted byte by a FaultPlan. The
+contract: ordered, unduplicated bytes; read() returns b"" at
+end-of-stream; writes after the connection died raise ConnectionLost.
+close() tears down both directions, because every failure path in this
+protocol terminates the whole session; bytes already in flight remain
+readable by the peer. Like TCP, a socketpair holds a bounded amount of
+unread data and then blocks the writer: about 200 KiB per direction with
+Linux's default buffers and large writes, less with small writes.
 
 FrameChannel binds the wire format to a stream: one send() per message,
 one recv() per decoded frame regardless of how the bytes were chunked.
@@ -89,105 +92,53 @@ class StreamHandle:
 
 @dataclass
 class FaultPlan:
-    """Scripted misbehavior for an in-memory pair.
+    """Scripted cut for an in-memory pair.
 
     drop_at_byte: the connection dies when a write would push the pair's
-    total transferred byte count past this limit.
-    delay_per_write: real seconds to sleep before each delivery.
+    total transferred byte count, both directions together, past this
+    limit. The bytes up to the limit are delivered, both ends are shut
+    down, the writer gets ConnectionLost and the peer reads the prefix
+    and then end-of-stream.
     """
 
     drop_at_byte: int | None = None
-    delay_per_write: float = 0.0
 
 
-class _PairState:
-    def __init__(self, plan: FaultPlan | None):
-        self.plan = plan or FaultPlan()
-        self.bytes_written = 0
-        self.dropped = False
+class _Cut:
+    """Byte budget shared by the two ends of a faulty memory pair."""
+
+    def __init__(self, limit: int, socks: tuple[socket.socket, socket.socket]):
+        self.limit = limit
+        self.left = limit
+        self.socks = socks
         self.lock = threading.Lock()
 
-    def account(self, n: int) -> None:
+    def take(self, n: int) -> int:
+        """Reserve up to n bytes of the budget; returns how many fit."""
         with self.lock:
-            if self.dropped:
-                raise ConnectionLost("connection previously dropped by fault plan")
-            limit = self.plan.drop_at_byte
-            if limit is not None and self.bytes_written + n > limit:
-                self.dropped = True
-                raise ConnectionLost(f"fault plan dropped connection at byte {limit}")
-            self.bytes_written += n
+            room = min(n, self.left)
+            self.left -= room
+            return room
+
+    def shut(self) -> None:
+        for sock in self.socks:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
 
 
-class _Pipe:
-    """One direction of an in-memory duplex channel."""
+def memory_pair(fault_plan: FaultPlan | None = None) -> tuple[SocketStream, SocketStream]:
+    """A connected in-process duplex pair (a, b) over an AF_UNIX socketpair.
 
-    def __init__(self) -> None:
-        self.buf = bytearray()
-        self.closed = False
-        self.cond = threading.Condition()
-
-    def push(self, data: bytes) -> None:
-        with self.cond:
-            if self.closed:
-                raise ConnectionLost("peer closed the stream")
-            self.buf.extend(data)
-            self.cond.notify_all()
-
-    def close(self) -> None:
-        with self.cond:
-            self.closed = True
-            self.cond.notify_all()
-
-    def pull(self, n: int, timeout: float | None) -> bytes:
-        with self.cond:
-            if not self.buf and not self.closed:
-                if not self.cond.wait_for(lambda: self.buf or self.closed, timeout):
-                    raise ReadTimeout("no data within timeout")
-            if self.buf:
-                piece = bytes(self.buf[:n])
-                del self.buf[:n]
-                return piece
-            return b""
-
-
-class MemoryStream(StreamHandle):
-    def __init__(self, rx: _Pipe, tx: _Pipe, pair: _PairState, label: str):
-        self._rx = rx
-        self._tx = tx
-        self._pair = pair
-        self._closed = False
-        self.peer_label = label
-
-    def read(self, n: int, timeout: float | None = None) -> bytes:
-        if self._closed:
-            return b""
-        return self._rx.pull(n, timeout)
-
-    def write(self, data: bytes) -> None:
-        if self._closed:
-            raise ConnectionLost("stream is closed locally")
-        if self._pair.plan.delay_per_write:
-            time.sleep(self._pair.plan.delay_per_write)
-        self._pair.account(len(data))
-        self._tx.push(data)
-
-    def shutdown_write(self) -> None:
-        self._tx.close()
-
-    def close(self) -> None:
-        self._closed = True
-        self._tx.close()
-        self._rx.close()
-
-
-def memory_pair(fault_plan: FaultPlan | None = None) -> tuple[MemoryStream, MemoryStream]:
-    """A connected in-memory duplex pair (a, b)."""
-    state = _PairState(fault_plan)
-    ab = _Pipe()
-    ba = _Pipe()
-    a = MemoryStream(rx=ba, tx=ab, pair=state, label="memory:a")
-    b = MemoryStream(rx=ab, tx=ba, pair=state, label="memory:b")
-    return a, b
+    With a FaultPlan the pair is cut at its byte limit: the prefix is
+    delivered and both ends are shut down (see FaultPlan).
+    """
+    sock_a, sock_b = socket.socketpair(socket.AF_UNIX, socket.SOCK_STREAM)
+    if fault_plan is None or fault_plan.drop_at_byte is None:
+        return SocketStream(sock_a, "memory:a"), SocketStream(sock_b, "memory:b")
+    cut = _Cut(fault_plan.drop_at_byte, (sock_a, sock_b))
+    return _CutStream(sock_a, "memory:a", cut), _CutStream(sock_b, "memory:b", cut)
 
 
 class MemoryListener:
@@ -199,7 +150,7 @@ class MemoryListener:
         self._queue: queue.Queue = queue.Queue()
         self._closed = False
 
-    def connect(self, fault_plan: FaultPlan | None = None) -> MemoryStream:
+    def connect(self, fault_plan: FaultPlan | None = None) -> SocketStream:
         """Dial this listener; returns the client end."""
         if self._closed:
             raise ConnectRefused("listener is closed")
@@ -257,6 +208,24 @@ class SocketStream(StreamHandle):
         except OSError:
             pass
         self._sock.close()
+
+
+class _CutStream(SocketStream):
+    """One end of a memory pair that a FaultPlan cuts."""
+
+    def __init__(self, sock: socket.socket, label: str, cut: _Cut):
+        super().__init__(sock, label)
+        self._cut = cut
+
+    def write(self, data: bytes) -> None:
+        room = self._cut.take(len(data))
+        if room == len(data):
+            super().write(data)
+            return
+        if room:
+            super().write(data[:room])
+        self._cut.shut()
+        raise ConnectionLost(f"fault plan cut the connection at byte {self._cut.limit}")
 
 
 class TcpListener:

@@ -24,7 +24,7 @@ from usp.agent import (
 )
 from usp.auth import AuthMethod, validate_token
 from usp.harness import VirtualClock
-from usp.transport import MemoryListener, tcp_listen
+from usp.transport import ConnectionLost, FaultPlan, MemoryListener, tcp_listen
 from usp.wire import Initialize, StreamRequest, encode_frame
 
 ALICE_KEY = bytes.fromhex("00112233445566778899aabbccddeeff")
@@ -257,6 +257,20 @@ def test_data_before_connect_aborts_handoff(server):
     stream.close()
 
 
+def test_cut_during_server_connect_is_connection_lost(server):
+    first = encode_frame(
+        Initialize(authentication=("psk-cr",), streams=(StreamRequest("echo"),))
+    )
+    # The cut falls inside the server's connect frame.
+    stream = server.listener.connect(FaultPlan(drop_at_byte=len(first) + 3))
+    with pytest.raises(ConnectionLost):
+        connect(stream, "echo", clock=server.clock, rng=random.Random(1))
+    record = server.wait_records(1)[0]
+    assert record.outcome == "connection_lost"
+    assert [(e.direction, e.name) for e in record.trace] == [("c2s", "initialize")]
+    assert server.handler_calls == []
+
+
 def test_handshake_timeout_closes_quietly(server):
     import time
 
@@ -313,7 +327,10 @@ def test_oversize_prefix_closed_silently(server):
     assert record.outcome == "malformed"
     assert record.detail == "oversize"
     assert [(e.direction, e.name) for e in record.trace] == [("c2s", "malformed")]
-    assert stream.read(100, timeout=1) == b""
+    # The server closed with the rest of the probe unread, so the
+    # socketpair reports a reset; any reply byte would be returned instead.
+    with pytest.raises(ConnectionLost):
+        stream.read(100, timeout=1)
     stream.close()
 
 

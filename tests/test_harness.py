@@ -1,5 +1,6 @@
 """Harness tests: scenarios against goldens, fuzzing, machine enumeration."""
 
+import gc
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -10,7 +11,6 @@ from usp.auth import AuthMethod, IdentityContext
 from usp.harness import (
     CounterexampleFound,
     EnumerationReport,
-    Scenario,
     ScenarioMismatch,
     VirtualClock,
     build_event_alphabet,
@@ -92,14 +92,19 @@ def test_scenario_trace_mismatch_names_first_divergence():
     assert "session 0 entry 1" in problem
 
 
-def test_scenario_json_round_trip():
-    for scenario in canonical_scenarios().values():
-        assert Scenario.from_dict(json.loads(json.dumps(scenario.to_dict()))) == scenario
-
-
 def test_run_all_scenarios():
     results = run_all_scenarios()
     assert set(results) == set(SCENARIO_NAMES)
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
+def test_fuzz_and_scenarios_leak_no_file_descriptors():
+    gc.collect()
+    before = len(list(Path("/proc/self/fd").iterdir()))
+    fuzz_malformed(seed=1, n=500)
+    run_all_scenarios()
+    gc.collect()
+    assert len(list(Path("/proc/self/fd").iterdir())) == before
 
 
 def test_scenarios_identical_over_tcp():
@@ -201,7 +206,6 @@ def _mutant_env(cls) -> ServerEnv:
         token_secret=honest.token_secret,
         clock=honest.clock,
         rng=honest.rng,
-        max_auth_attempts=honest.max_auth_attempts,
     )
 
 

@@ -135,6 +135,24 @@ def test_fault_plan_counts_both_directions():
         a.write(b"f")
 
 
+def test_fault_plan_delivers_prefix_then_eof():
+    a, b = memory_pair(FaultPlan(drop_at_byte=5))
+    with pytest.raises(ConnectionLost):
+        a.write(b"abcdef")
+    assert b.read(10, timeout=1) == b"abcde"
+    assert b.read(10, timeout=1) == b""
+
+
+def test_fault_plan_cut_mid_frame_ends_peer_recv_at_once():
+    a, b = memory_pair(FaultPlan(drop_at_byte=6))
+    with pytest.raises(ConnectionLost):
+        FrameChannel(a).send(Connect(application="echo"))
+    started = time.monotonic()
+    with pytest.raises(ConnectionLost):
+        FrameChannel(b).recv(deadline=time.time() + 2)
+    assert time.monotonic() - started < 0.5
+
+
 def test_memory_listener_accept_and_close():
     listener = MemoryListener()
     client = listener.connect()
