@@ -1,13 +1,16 @@
 """Agents that run the session machines over live streams.
 
-The server agent accepts connections, drives each one through the
-handshake on a reused worker thread, and hands the still-live stream plus
-the established IdentityContext to the registered application handler,
-which runs on the same worker. A new worker starts only when every
-existing one is busy, and workers live until shutdown(), so the thread
-count equals the peak number of concurrent sessions. The handler never
-sees a byte that arrived before the handshake finished: data sent ahead
-of the connect confirmation aborts the session instead of being buffered.
+The server agent runs a pool of worker threads that accept connections
+themselves (the Leader/Followers pattern): there is no acceptor thread
+and no queue between accept and session. A worker that accepts a
+connection drives it through the handshake and hands the still-live
+stream plus the established IdentityContext to the registered application
+handler on the same thread, then goes back to accept. It starts a
+replacement first if no other worker is left waiting in accept, and
+workers live until shutdown(), so the thread count is the peak number of
+concurrent sessions plus one. The handler never sees a byte that arrived
+before the handshake finished: data sent ahead of the connect
+confirmation aborts the session instead of being buffered.
 
 The client agent performs a single connect or a token acquisition; both
 are synchronous and return once the session is settled.
@@ -16,7 +19,6 @@ are synchronous and return once the session is settled.
 from __future__ import annotations
 
 import json
-import queue
 import random
 import secrets
 import threading
@@ -294,7 +296,7 @@ def _drive_server(
 
         state, actions = server_step(state, event, env)
 
-        if any(isinstance(a, Handoff) for a in actions) and chan.peek_pending():
+        if isinstance(state, HandedOff) and chan.peek_pending():
             # Bytes arrived before the connect confirmation went out: the
             # application must never see them, so the session dies here.
             text = "protocol violation: application data before connect"
@@ -369,12 +371,13 @@ def _drive_server(
 class ServerHandle:
     """A running server; thread-safe counters and orderly shutdown.
 
-    Accepted connections are queued for a pool of daemon worker threads.
-    A worker runs one session at a time, handshake and handler, then takes
-    the next. The acceptor starts a new worker only when no worker is
-    idle, so every handshake starts at once; the pool never shrinks before
-    shutdown(), so it holds as many threads as the peak number of
-    concurrent sessions.
+    A pool of daemon worker threads serves the listener. Each idle worker
+    waits in the listener's accept; the one that gets a connection runs
+    its session, handshake and handler, and then waits in accept again.
+    Before it starts the session it starts a new worker if no other one is
+    left waiting, so every handshake starts at once. The pool never
+    shrinks before shutdown(), so it holds the peak number of concurrent
+    sessions plus one thread.
     """
 
     def __init__(
@@ -398,15 +401,13 @@ class ServerHandle:
         self._records: list[SessionRecord] = []
         self._handoffs = 0
         self._live_streams: dict[int, StreamHandle] = {}
-        # (sid, stream) per accepted connection; None tells a worker to exit.
-        self._sessions: queue.SimpleQueue[tuple[int, StreamHandle] | None] = queue.SimpleQueue()
-        # Counts idle workers, as ThreadPoolExecutor._idle_semaphore does.
-        self._idle = threading.Semaphore(0)
+        # Workers waiting in accept, or about to; guarded by _lock.
+        self._idle = 0
         self._workers: list[threading.Thread] = []
         self._stopping = False
         self._next_id = 0
-        self._acceptor = threading.Thread(target=self._accept_loop, daemon=True)
-        self._acceptor.start()
+        with self._lock:
+            self._start_worker()
 
     @property
     def port(self) -> int:
@@ -423,34 +424,49 @@ class ServerHandle:
         with self._lock:
             return self._handoffs
 
-    def _accept_loop(self) -> None:
+    def _start_worker(self) -> None:
+        # Caller holds _lock, so shutdown() sees every worker started.
+        self._idle += 1
+        worker = threading.Thread(target=self._work, daemon=True)
+        self._workers.append(worker)
+        worker.start()
+
+    def _work(self) -> None:
+        while self._serve_one():
+            pass
+
+    def _serve_one(self) -> bool:
+        """Accept one connection and run its session; False once stopping.
+
+        The stream is local to this call, so a worker waiting in accept
+        keeps no finished session alive.
+        """
         while True:
             try:
                 stream = self._listener.accept()
+                break
             except ListenerClosed:
-                return
+                return False
             except Exception:
                 if self._stopping:
-                    return
-                continue
-            with self._lock:
+                    return False
+        with self._lock:
+            stopping = self._stopping
+            if not stopping:
+                self._idle -= 1
                 sid = self._next_id
                 self._next_id += 1
                 self._live_streams[sid] = stream
-            self._sessions.put((sid, stream))
-            if not self._idle.acquire(blocking=False):
-                worker = threading.Thread(target=self._work, daemon=True)
-                with self._lock:
-                    self._workers.append(worker)
-                worker.start()
-
-    def _work(self) -> None:
-        while True:
-            item = self._sessions.get()
-            if item is None:
-                return
-            self._run_session(*item)
-            self._idle.release()
+                if not self._idle:
+                    self._start_worker()
+        if stopping:
+            # shutdown() has already closed the streams it knows of.
+            stream.close()
+            return False
+        self._run_session(sid, stream)
+        with self._lock:
+            self._idle += 1
+        return True
 
     def _run_session(self, sid: int, stream: StreamHandle) -> None:
         started_at = self._env.clock()
@@ -493,9 +509,10 @@ class ServerHandle:
         a handler that ignores its closed stream keeps its (daemon) worker.
         """
         deadline = time.monotonic() + timeout
-        self._stopping = True
+        with self._lock:
+            self._stopping = True
+        # Wakes every worker waiting in accept.
         self._listener.close()
-        self._acceptor.join(timeout)
         with self._lock:
             streams = list(self._live_streams.values())
             workers = list(self._workers)
@@ -504,8 +521,6 @@ class ServerHandle:
                 stream.close()
             except Exception:
                 pass
-        for _ in workers:
-            self._sessions.put(None)
         for worker in workers:
             worker.join(max(0.0, deadline - time.monotonic()))
 
@@ -522,12 +537,13 @@ def serve(
 ) -> ServerHandle:
     """Serve USP sessions from ``listener`` until shutdown().
 
-    Each accepted connection is driven independently on a reused worker
-    thread; a new worker starts only when every existing one is busy, and
-    workers live until shutdown(), so the thread count equals the peak
-    number of concurrent sessions. A handler is invoked exactly once per
-    successful handshake, with the live stream and the established
-    identity.
+    Worker threads accept their own connections; there is no acceptor
+    thread. Each connection is driven independently on the worker that
+    accepted it, which first starts a new worker if no other one is left
+    waiting in accept. Workers live until shutdown(), so the thread count
+    is the peak number of concurrent sessions plus one. A handler is
+    invoked exactly once per successful handshake, with the live stream
+    and the established identity.
     """
     clock = clock or time.time
     rng = rng or random.SystemRandom()
@@ -569,17 +585,41 @@ def serve(
     )
 
 
+_CONFIG_KEYS = frozenset(
+    {
+        "applications",
+        "supported_auth",
+        "psk_store",
+        "token_secret_hex",
+        "token_ttl",
+        "handshake_timeout",
+        "lenient_coexistence",
+        "single_use_tokens",
+    }
+)
+_APPLICATION_KEYS = frozenset({"application", "requires_auth"})
+
+
+def _reject_unknown_keys(obj: dict, known: frozenset, where: str) -> None:
+    unknown = sorted(obj.keys() - known)
+    if unknown:
+        raise ValueError(f"unknown key in {where}: {unknown[0]!r}")
+
+
 def load_server_config(path: str | Path, handler: Handler = echo_handler) -> ServerConfig:
     """Build a ServerConfig from a JSON file.
 
     Every configured application is served by ``handler`` (the echo demo
     by default); real deployments register handlers in code. A relative
     ``psk_store`` path is resolved against the config file's directory.
+    A key the loader does not know, at the top level or in an application
+    entry, is an error rather than silently ignored.
     """
     path = Path(path)
     data = json.loads(path.read_text(encoding="utf-8"))
     if not isinstance(data, dict):
         raise ValueError("config must be a JSON object")
+    _reject_unknown_keys(data, _CONFIG_KEYS, "config")
     apps = data.get("applications")
     if not isinstance(apps, list) or not apps:
         raise ValueError("config needs a non-empty applications list")
@@ -587,6 +627,7 @@ def load_server_config(path: str | Path, handler: Handler = echo_handler) -> Ser
     for entry in apps:
         if not isinstance(entry, dict) or "application" not in entry:
             raise ValueError("each application entry needs an application name")
+        _reject_unknown_keys(entry, _APPLICATION_KEYS, f"application {entry['application']!r}")
         registrations.append(
             ApplicationRegistration(
                 application=entry["application"],

@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import base64
 import binascii
-import hashlib
 import hmac
 import json
 import random
 import struct
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -140,23 +139,38 @@ class IdentityToken:
     signature: bytes
 
     def encode(self) -> str:
-        return base64.urlsafe_b64encode(self._record() + self.signature).decode("ascii")
-
-    def _record(self) -> bytes:
-        ident = self.identity.encode("utf-8")
-        app = self.application.encode("utf-8")
-        return (
-            struct.pack(">H", len(ident))
-            + ident
-            + struct.pack(">H", len(app))
-            + app
-            + struct.pack(">QQ", self.issued_at, self.expires_at)
-            + self.nonce
+        record = _pack_record(
+            self.identity, self.application, self.issued_at, self.expires_at, self.nonce
         )
+        return base64.urlsafe_b64encode(record + self.signature).decode("ascii")
+
+
+_U16 = struct.Struct(">H")
+_TIMES = struct.Struct(">QQ")
+# Issue and expiry times, nonce and signature: the fixed-size record tail.
+_TAIL_BYTES = _TIMES.size + NONCE_BYTES + SIGNATURE_BYTES
+
+
+def _pack_record(
+    identity: str, application: str, issued_at: int, expires_at: int, nonce: bytes
+) -> bytes:
+    """The signed part of a token record: everything but the signature."""
+    ident = identity.encode("utf-8")
+    app = application.encode("utf-8")
+    return b"".join(
+        (
+            _U16.pack(len(ident)),
+            ident,
+            _U16.pack(len(app)),
+            app,
+            _TIMES.pack(issued_at, expires_at),
+            nonce,
+        )
+    )
 
 
 def _sign(record: bytes, secret: bytes) -> bytes:
-    return hmac.new(secret, record, hashlib.sha256).digest()
+    return hmac.digest(secret, record, "sha256")
 
 
 def issue_token(
@@ -173,60 +187,73 @@ def issue_token(
     if ttl <= 0:
         raise ValueError("ttl must be positive")
     issued_at = int(clock())
-    unsigned = IdentityToken(
-        identity=identity,
-        application=application,
-        issued_at=issued_at,
-        expires_at=issued_at + int(ttl),
-        nonce=rng.randbytes(NONCE_BYTES),
-        signature=b"",
-    )
-    return replace(unsigned, signature=_sign(unsigned._record(), secret))
-
-
-def decode_token(token: str) -> IdentityToken:
-    """Parse a token string without verifying anything but its structure."""
-    try:
-        raw = base64.urlsafe_b64decode(token.encode("ascii"))
-    except (binascii.Error, UnicodeEncodeError, ValueError):
-        raise TokenMalformed("not base64") from None
-    cursor = 0
-
-    def take(n: int) -> bytes:
-        nonlocal cursor
-        if cursor + n > len(raw):
-            raise TokenMalformed("record too short")
-        piece = raw[cursor : cursor + n]
-        cursor += n
-        return piece
-
-    (ident_len,) = struct.unpack(">H", take(2))
-    try:
-        identity = take(ident_len).decode("utf-8")
-    except UnicodeDecodeError:
-        raise TokenMalformed("identity is not UTF-8") from None
-    (app_len,) = struct.unpack(">H", take(2))
-    try:
-        application = take(app_len).decode("utf-8")
-    except UnicodeDecodeError:
-        raise TokenMalformed("application is not UTF-8") from None
-    issued_at, expires_at = struct.unpack(">QQ", take(16))
-    nonce = take(NONCE_BYTES)
-    signature = take(SIGNATURE_BYTES)
-    if cursor != len(raw):
-        raise TokenMalformed("trailing bytes in record")
-    if not identity:
-        raise TokenMalformed("identity is empty")
-    if expires_at <= issued_at:
-        raise TokenMalformed("expiry not after issuance")
+    expires_at = issued_at + int(ttl)
+    nonce = rng.randbytes(NONCE_BYTES)
+    record = _pack_record(identity, application, issued_at, expires_at, nonce)
     return IdentityToken(
         identity=identity,
         application=application,
         issued_at=issued_at,
         expires_at=expires_at,
         nonce=nonce,
-        signature=signature,
+        signature=_sign(record, secret),
     )
+
+
+def _parse_token(token: str) -> tuple[IdentityToken, bytes]:
+    """The decoded token and its signed record bytes; structure checks only."""
+    try:
+        raw = base64.urlsafe_b64decode(token.encode("ascii"))
+    except (binascii.Error, UnicodeEncodeError, ValueError):
+        raise TokenMalformed("not base64") from None
+    size = len(raw)
+    # Each length is checked before the bytes it covers are read, so the
+    # first fault in record order is the one reported.
+    if size < 2:
+        raise TokenMalformed("record too short")
+    (ident_len,) = _U16.unpack_from(raw, 0)
+    ident_end = 2 + ident_len
+    if ident_end > size:
+        raise TokenMalformed("record too short")
+    try:
+        identity = raw[2:ident_end].decode("utf-8")
+    except UnicodeDecodeError:
+        raise TokenMalformed("identity is not UTF-8") from None
+    app_at = ident_end + 2
+    if app_at > size:
+        raise TokenMalformed("record too short")
+    (app_len,) = _U16.unpack_from(raw, ident_end)
+    app_end = app_at + app_len
+    if app_end > size:
+        raise TokenMalformed("record too short")
+    try:
+        application = raw[app_at:app_end].decode("utf-8")
+    except UnicodeDecodeError:
+        raise TokenMalformed("application is not UTF-8") from None
+    if app_end + _TAIL_BYTES > size:
+        raise TokenMalformed("record too short")
+    if app_end + _TAIL_BYTES < size:
+        raise TokenMalformed("trailing bytes in record")
+    issued_at, expires_at = _TIMES.unpack_from(raw, app_end)
+    if not identity:
+        raise TokenMalformed("identity is empty")
+    if expires_at <= issued_at:
+        raise TokenMalformed("expiry not after issuance")
+    signed_end = size - SIGNATURE_BYTES
+    decoded = IdentityToken(
+        identity=identity,
+        application=application,
+        issued_at=issued_at,
+        expires_at=expires_at,
+        nonce=raw[signed_end - NONCE_BYTES : signed_end],
+        signature=raw[signed_end:],
+    )
+    return decoded, raw[:signed_end]
+
+
+def decode_token(token: str) -> IdentityToken:
+    """Parse a token string without verifying anything but its structure."""
+    return _parse_token(token)[0]
 
 
 def validate_token(token: str, application: str, clock: Clock, secret: bytes) -> IdentityContext:
@@ -235,8 +262,8 @@ def validate_token(token: str, application: str, clock: Clock, secret: bytes) ->
     Checks, in order: structure, signature, expiry (a token is dead at and
     after its expires_at instant), application binding.
     """
-    decoded = decode_token(token)
-    if not hmac.compare_digest(decoded.signature, _sign(decoded._record(), secret)):
+    decoded, record = _parse_token(token)
+    if not hmac.compare_digest(decoded.signature, _sign(record, secret)):
         raise BadSignature("signature mismatch")
     if clock() >= decoded.expires_at:
         raise TokenExpired(f"expired at {decoded.expires_at}")
@@ -370,7 +397,7 @@ class _PskServerHandle(AuthHandle):
         key = self._secrets.get(identity)
         if key is None:
             return AuthStep(status=AuthStatus.FAIL, reason="unknown identity")
-        expected = hmac.new(key, self._challenge, hashlib.sha256).digest()
+        expected = hmac.digest(key, self._challenge, "sha256")
         if not hmac.compare_digest(mac, expected):
             return AuthStep(status=AuthStatus.FAIL, reason="bad response")
         return AuthStep(status=AuthStatus.SUCCESS, identity=identity)
@@ -391,7 +418,7 @@ class _PskClientHandle(AuthHandle):
             return AuthStep(status=AuthStatus.PENDING)
         if incoming is None:
             return AuthStep(status=AuthStatus.FAIL, reason="missing challenge")
-        mac = hmac.new(self._key, incoming, hashlib.sha256).digest()
+        mac = hmac.digest(self._key, incoming, "sha256")
         return AuthStep(
             status=AuthStatus.SUCCESS,
             outgoing=self._identity.encode("utf-8") + mac,

@@ -4,12 +4,18 @@ One stream implementation, SocketStream, serves both transports: TCP for
 real interop and an AF_UNIX socketpair (memory_pair, MemoryListener) for
 in-process tests, optionally cut at a scripted byte by a FaultPlan. The
 contract: ordered, unduplicated bytes; read() returns b"" at
-end-of-stream; writes after the connection died raise ConnectionLost.
+end-of-stream; writes after the connection died raise ConnectionLost;
+pending() says whether bytes are waiting without consuming any.
 close() tears down both directions, because every failure path in this
 protocol terminates the whole session; bytes already in flight remain
 readable by the peer. Like TCP, a socketpair holds a bounded amount of
 unread data and then blocks the writer: about 200 KiB per direction with
 Linux's default buffers and large writes, less with small writes.
+
+A SocketStream's socket stays in blocking mode for its whole life. A read
+with a timeout first waits for input in poll(); a write never touches the
+timeout. No call switches the socket's mode, so a read and a concurrent
+write cannot undo each other's settings.
 
 FrameChannel binds the wire format to a stream: one send() per message,
 one recv() per decoded frame regardless of how the bytes were chunked.
@@ -18,6 +24,7 @@ one recv() per decoded frame regardless of how the bytes were chunked.
 from __future__ import annotations
 
 import queue
+import select
 import socket
 import threading
 import time
@@ -80,6 +87,10 @@ class StreamHandle:
         raise NotImplementedError
 
     def write(self, data: bytes) -> None:
+        raise NotImplementedError
+
+    def pending(self) -> bool:
+        """True when bytes wait to be read now; consumes nothing, never waits."""
         raise NotImplementedError
 
     def shutdown_write(self) -> None:
@@ -161,6 +172,8 @@ class MemoryListener:
     def accept(self) -> StreamHandle:
         item = self._queue.get()
         if item is self._SENTINEL:
+            # Pass it on, so every thread waiting here wakes up.
+            self._queue.put(item)
             raise ListenerClosed("listener closed")
         return item
 
@@ -170,27 +183,46 @@ class MemoryListener:
 
 
 class SocketStream(StreamHandle):
+    """A StreamHandle over a connected socket, kept in blocking mode.
+
+    A read with a timeout waits in poll() and then calls recv() once, so it
+    never blocks past the timeout while it is the only reader. pending()
+    peeks. After close() a read returns b"" at once: the descriptor number
+    may already belong to another socket.
+    """
+
     def __init__(self, sock: socket.socket, label: str):
         self._sock = sock
         self._lock = threading.Lock()
         self._closed = False
+        self._poll = select.poll()
+        self._poll.register(sock, select.POLLIN)
         self.peer_label = label
 
     def read(self, n: int, timeout: float | None = None) -> bytes:
+        if self._closed:
+            return b""
+        if timeout is not None and not self._poll.poll(timeout * 1000):
+            raise ReadTimeout("no data within timeout")
         try:
-            self._sock.settimeout(timeout)
             return self._sock.recv(n)
-        except (socket.timeout, BlockingIOError):
-            raise ReadTimeout("no data within timeout") from None
         except OSError as exc:
             if self._closed:
                 return b""
             raise ConnectionLost(str(exc)) from None
 
+    def pending(self) -> bool:
+        if self._closed or not self._poll.poll(0):
+            return False
+        # Readable means data, end-of-stream or an error; only data counts.
+        try:
+            return bool(self._sock.recv(1, socket.MSG_PEEK))
+        except OSError:
+            return False
+
     def write(self, data: bytes) -> None:
         try:
             with self._lock:
-                self._sock.settimeout(None)
                 self._sock.sendall(data)
         except OSError as exc:
             raise ConnectionLost(str(exc)) from None
@@ -282,6 +314,7 @@ def tcp_dial(host: str, port: int, timeout: float | None = None) -> SocketStream
     except OSError as exc:
         sock.close()
         raise TransportError(f"cannot connect to {host}:{port}: {exc}") from None
+    sock.settimeout(None)
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     return SocketStream(sock, label=f"{host}:{port}")
 
@@ -321,7 +354,7 @@ class FrameChannel:
     def _read_exact(
         self, n: int, deadline: float | None, clock, eof_ok: bool
     ) -> bytes | None:
-        buf = bytearray()
+        buf = b""
         while len(buf) < n:
             if deadline is None:
                 timeout = None
@@ -337,17 +370,11 @@ class FrameChannel:
                 if eof_ok and not buf:
                     return None
                 raise ConnectionLost("end of stream inside a frame")
-            buf.extend(chunk)
-        return bytes(buf)
+            # A frame is at most MAX_FRAME_BYTES and usually arrives in one
+            # chunk, so plain concatenation is cheaper than a bytearray.
+            buf += chunk
+        return buf
 
     def peek_pending(self) -> bool:
         """True when bytes are already waiting beyond the last frame read."""
-        try:
-            chunk = self.stream.read(1, timeout=0)
-        except (ReadTimeout, ConnectionLost):
-            return False
-        if chunk == b"":
-            return False
-        # The byte is intentionally consumed: this check only runs on the
-        # way to tearing the session down.
-        return True
+        return self.stream.pending()

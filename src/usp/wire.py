@@ -18,8 +18,8 @@ from __future__ import annotations
 import base64
 import binascii
 import json
+import re
 import struct
-import unicodedata
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Iterator, Union
@@ -33,6 +33,12 @@ _HEADER = struct.Struct(">I")
 
 # Longest permitted application/protocol name, in UTF-8 bytes.
 MAX_NAME_BYTES = 255
+
+# Unicode category Cc: C0 controls, DEL and C1 controls. The stability
+# policy fixes this set, so a character class matches it exactly.
+_CONTROL = re.compile(r"[\x00-\x1f\x7f-\x9f]")
+
+_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
 
 
 class MalformedKind(Enum):
@@ -64,7 +70,7 @@ def name_error(value: str) -> str | None:
         return "name is empty"
     if len(value.encode("utf-8")) > MAX_NAME_BYTES:
         return f"name exceeds {MAX_NAME_BYTES} bytes"
-    if any(unicodedata.category(ch) == "Cc" for ch in value):
+    if _CONTROL.search(value):
         return "name contains control characters"
     return None
 
@@ -89,9 +95,8 @@ class StreamRequest:
         _check_name(self.application, "application")
         if self.token == "":
             object.__setattr__(self, "token", None)
-        if self.token is not None:
-            if any(unicodedata.category(ch) == "Cc" for ch in self.token):
-                raise ValueError("token contains control characters")
+        if self.token is not None and _CONTROL.search(self.token):
+            raise ValueError("token contains control characters")
 
     def to_wire_dict(self) -> dict[str, Any]:
         entry: dict[str, Any] = {"application": self.application}
@@ -190,14 +195,16 @@ Message = Union[Initialize, Connect, Authenticate, Token, Error, AuthData]
 
 MESSAGE_NAMES = ("initialize", "connect", "authenticate", "token", "error", "authdata")
 
+_NAME_OF = dict(zip((Initialize, Connect, Authenticate, Token, Error, AuthData), MESSAGE_NAMES))
+
 
 def message_name(msg: Message) -> str:
-    return msg.to_wire_dict()["message"]
+    return _NAME_OF[type(msg)]
 
 
 def encode_payload(msg: Message) -> bytes:
     """Serialize a message to its canonical JSON payload bytes."""
-    return json.dumps(msg.to_wire_dict(), separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+    return _ENCODER.encode(msg.to_wire_dict()).encode("utf-8")
 
 
 def encode_frame(msg: Message) -> bytes:
@@ -219,7 +226,7 @@ def decode_frame(data: bytes) -> Message:
     """
     if len(data) < HEADER_SIZE:
         raise MalformedMessage(MalformedKind.TRUNCATED, "incomplete length prefix")
-    (length,) = _HEADER.unpack(data[:HEADER_SIZE])
+    (length,) = _HEADER.unpack_from(data)
     if length > MAX_FRAME_BYTES:
         raise MalformedMessage(MalformedKind.OVERSIZE, f"declared length {length}")
     body = data[HEADER_SIZE:]
@@ -255,6 +262,8 @@ def _require_str(obj: dict[str, Any], key: str, where: str) -> str:
 
 
 def _check_keys(obj: dict[str, Any], required: set[str], optional: set[str], where: str) -> None:
+    if obj.keys() == required:
+        return
     missing = required - obj.keys()
     if missing:
         raise MalformedMessage(

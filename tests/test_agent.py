@@ -1,8 +1,11 @@
 """Agent tests: serving, connecting, token acquisition, isolation."""
 
+import gc
 import json
 import random
 import threading
+import time
+import weakref
 
 import pytest
 
@@ -24,8 +27,8 @@ from usp.agent import (
 )
 from usp.auth import AuthMethod, validate_token
 from usp.harness import VirtualClock
-from usp.transport import ConnectionLost, FaultPlan, MemoryListener, tcp_listen
-from usp.wire import Initialize, StreamRequest, encode_frame
+from usp.transport import ConnectionLost, FaultPlan, FrameChannel, MemoryListener, tcp_listen
+from usp.wire import Error, Initialize, StreamRequest, encode_frame
 
 ALICE_KEY = bytes.fromhex("00112233445566778899aabbccddeeff")
 SECRET = b"agent test token secret 0123456789"
@@ -68,8 +71,6 @@ class Fixture:
         return acquire_token(self.listener, applications, **kwargs)
 
     def wait_records(self, count, timeout=5.0):
-        import time
-
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
             records = self.handle.records()
@@ -271,9 +272,45 @@ def test_cut_during_server_connect_is_connection_lost(server):
     assert server.handler_calls == []
 
 
-def test_handshake_timeout_closes_quietly(server):
-    import time
+def test_header_then_eof_is_connection_lost(server):
+    stream = server.listener.connect()
+    # A header announcing a 16-byte body, and then end-of-stream.
+    stream.write(b"\x00\x00\x00\x10")
+    stream.shutdown_write()
+    record = server.wait_records(1)[0]
+    assert record.outcome == "connection_lost"
+    assert record.trace == ()
+    assert server.handler_calls == []
+    stream.close()
 
+
+def test_data_before_connect_gets_one_error_frame(server):
+    stream = server.listener.connect()
+    first = encode_frame(
+        Initialize(authentication=("psk-cr",), streams=(StreamRequest("echo"),))
+    )
+    stream.write(first + b"EAGER DATA")
+    chan = FrameChannel(stream)
+    assert chan.recv(deadline=time.monotonic() + 5, clock=time.monotonic) == Error(
+        "protocol violation: application data before connect"
+    )
+    # Nothing follows the error frame. The server closed with input still
+    # unread, so the socketpair may report a reset instead of a clean EOF.
+    try:
+        assert chan.recv(deadline=time.monotonic() + 5, clock=time.monotonic) is None
+    except ConnectionLost:
+        pass
+    record = server.wait_records(1)[0]
+    assert record.outcome == "protocol_violation"
+    assert [(e.direction, e.name) for e in record.trace] == [
+        ("c2s", "initialize"),
+        ("s2c", "error"),
+    ]
+    assert server.handler_calls == []
+    stream.close()
+
+
+def test_handshake_timeout_closes_quietly(server):
     stream = server.listener.connect()
     # Each jump exceeds the whole handshake window, so the first jump that
     # lands after the session fixed its deadline forces the timeout.
@@ -350,8 +387,6 @@ def test_handler_exception_is_isolated():
     try:
         stream, _ = connect(listener, "echo", clock=VirtualClock(), rng=random.Random(1))
         stream.close()
-        import time
-
         deadline = time.monotonic() + 5
         while time.monotonic() < deadline and not handle.records():
             time.sleep(0.002)
@@ -377,8 +412,6 @@ def _serve_echo_app(handler):
 
 
 def _wait_for(predicate, timeout=5.0):
-    import time
-
     deadline = time.monotonic() + timeout
     while not predicate():
         assert time.monotonic() < deadline, "condition not reached in time"
@@ -476,8 +509,6 @@ def test_pool_serves_every_connection_under_switch_stress():
 
 
 def test_shutdown_timeout_bounds_the_whole_call():
-    import time
-
     release = threading.Event()
     started = threading.Semaphore(0)
 
@@ -487,9 +518,10 @@ def test_shutdown_timeout_bounds_the_whole_call():
         release.wait(10)
 
     listener, handle = _serve_echo_app(stubborn)
+    streams = []
     try:
         for i in range(4):
-            connect(listener, "echo", clock=VirtualClock(), rng=random.Random(i))
+            streams.append(connect(listener, "echo", clock=VirtualClock(), rng=random.Random(i))[0])
         for _ in range(4):
             assert started.acquire(timeout=5)
         began = time.monotonic()
@@ -497,6 +529,8 @@ def test_shutdown_timeout_bounds_the_whole_call():
         elapsed = time.monotonic() - began
     finally:
         release.set()
+        for stream in streams:
+            stream.close()
     # One join timeout per stuck worker would take at least 4 x 0.3 s.
     assert elapsed < 0.9
 
@@ -546,6 +580,98 @@ def test_internal_error_record_spans_the_session():
     assert record.ended_at - record.started_at > 1.0
 
 
+def test_observer_sees_every_record_in_order():
+    observed = []
+    config = ServerConfig(
+        registrations=(ApplicationRegistration("echo", False, echo_handler),),
+        token_secret=SECRET,
+    )
+    listener = MemoryListener()
+    handle = serve(
+        listener, config, clock=VirtualClock(), rng=random.Random(0), observer=observed.append
+    )
+    try:
+        for i in range(10):
+            stream, _ = connect(listener, "echo", clock=VirtualClock(), rng=random.Random(i))
+            stream.close()
+            _wait_for(lambda: len(observed) == i + 1)
+        assert len(handle.records()) == 10
+        assert [id(r) for r in observed] == [id(r) for r in handle.records()]
+    finally:
+        handle.shutdown()
+
+
+class _WatchedListener(MemoryListener):
+    """A MemoryListener that counts threads waiting in accept and keeps a
+    weak reference to every stream it hands out."""
+
+    def __init__(self):
+        super().__init__()
+        self.accepted = []
+        self.waiting = set()
+
+    def accept(self):
+        me = threading.current_thread()
+        self.waiting.add(me)
+        try:
+            stream = super().accept()
+        finally:
+            self.waiting.discard(me)
+        self.accepted.append(weakref.ref(stream))
+        return stream
+
+
+def test_server_keeps_no_finished_stream():
+    listener = _WatchedListener()
+    config = ServerConfig(
+        registrations=(ApplicationRegistration("echo", False, echo_handler),),
+        token_secret=SECRET,
+    )
+    handle = serve(listener, config, clock=VirtualClock(), rng=random.Random(0))
+    try:
+        for i in range(50):
+            stream, _ = connect(listener, "echo", clock=VirtualClock(), rng=random.Random(i))
+            stream.close()
+        _wait_for(lambda: len(handle.records()) == 50)
+        # The server is still running: neither its bookkeeping nor an idle
+        # worker may hold a finished session's stream.
+        gc.collect()
+        assert len(listener.accepted) == 50
+        assert [ref for ref in listener.accepted if ref() is not None] == []
+    finally:
+        handle.shutdown()
+
+
+def test_shutdown_wakes_every_worker_waiting_in_accept():
+    listener = _WatchedListener()
+    gate = threading.Barrier(3, timeout=5)
+
+    def handler(stream, ctx):
+        gate.wait()
+        stream.close()
+
+    config = ServerConfig(
+        registrations=(ApplicationRegistration("echo", False, handler),),
+        token_secret=SECRET,
+    )
+    handle = serve(listener, config, clock=VirtualClock(), rng=random.Random(0))
+    try:
+        # Two sessions at once grow the pool to three workers.
+        streams = [
+            connect(listener, "echo", clock=VirtualClock(), rng=random.Random(i))[0]
+            for i in range(2)
+        ]
+        gate.wait()
+        for stream in streams:
+            stream.close()
+        _wait_for(lambda: len(listener.waiting) == 3)
+        workers = set(listener.waiting)
+    finally:
+        handle.shutdown()
+    assert not [w for w in workers if w.is_alive()]
+    assert handle.handoff_count == 2
+
+
 def test_serve_over_tcp(server):
     listener = tcp_listen("127.0.0.1", 0)
     handle = serve(listener, server.config, clock=server.clock, rng=random.Random(0))
@@ -570,8 +696,6 @@ def test_session_log_lines(tmp_path, server):
     try:
         stream, _ = connect(listener, "echo", clock=server.clock, rng=random.Random(1))
         stream.close()
-        import time
-
         deadline = time.monotonic() + 5
         while time.monotonic() < deadline and not handle.records():
             time.sleep(0.002)
@@ -648,6 +772,44 @@ def test_load_server_config(tmp_path):
     assert config.token_secret == SECRET
     assert config.token_ttl == 60
     assert config.lenient_coexistence is True
+
+
+def test_load_server_config_accepts_every_documented_key(tmp_path):
+    (tmp_path / "psks.json").write_text(json.dumps({"alice": ALICE_KEY.hex()}))
+    config_path = tmp_path / "server.json"
+    # The full sample of the README's "Server configuration file" section.
+    config_path.write_text(
+        json.dumps(
+            {
+                "applications": [{"application": "echo", "requires_auth": False}],
+                "supported_auth": ["psk-cr"],
+                "psk_store": "psks.json",
+                "token_secret_hex": SECRET.hex(),
+                "token_ttl": 3600,
+                "handshake_timeout": 10.0,
+                "lenient_coexistence": False,
+                "single_use_tokens": False,
+            }
+        )
+    )
+    config = load_server_config(config_path)
+    assert config.handshake_timeout == 10.0
+    assert config.single_use_tokens is False
+
+
+@pytest.mark.parametrize(
+    "data, unknown",
+    [
+        ({"applications": [{"application": "echo"}], "max_auth_attempts": 2}, "max_auth_attempts"),
+        ({"applications": [{"application": "echo"}], "handshake_timeot": 1}, "handshake_timeot"),
+        ({"applications": [{"application": "echo", "requires_auht": True}]}, "requires_auht"),
+    ],
+)
+def test_load_server_config_rejects_unknown_keys(tmp_path, data, unknown):
+    config_path = tmp_path / "server.json"
+    config_path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=unknown):
+        load_server_config(config_path)
 
 
 def test_load_server_config_rejects_junk(tmp_path):

@@ -1,6 +1,7 @@
 """Authentication tests: negotiation, tokens, and the PSK protocol."""
 
 import base64
+import binascii
 import hashlib
 import hmac
 import itertools
@@ -19,6 +20,7 @@ from usp.auth import (
     AuthStatus,
     ApplicationMismatch,
     BadSignature,
+    IdentityToken,
     NonceCache,
     TokenError,
     TokenExpired,
@@ -193,6 +195,90 @@ def test_issue_rejects_bad_inputs():
         issue_token("", "echo", 10, clock_at(T0), SECRET, random.Random(0))
     with pytest.raises(ValueError):
         issue_token("a", "echo", 0, clock_at(T0), SECRET, random.Random(0))
+
+
+def _reference_decode_token(token):
+    """decode_token as first written, with a cursor closure: the oracle."""
+    try:
+        raw = base64.urlsafe_b64decode(token.encode("ascii"))
+    except (binascii.Error, UnicodeEncodeError, ValueError):
+        raise TokenMalformed("not base64") from None
+    cursor = 0
+
+    def take(n):
+        nonlocal cursor
+        if cursor + n > len(raw):
+            raise TokenMalformed("record too short")
+        piece = raw[cursor : cursor + n]
+        cursor += n
+        return piece
+
+    (ident_len,) = struct.unpack(">H", take(2))
+    try:
+        identity = take(ident_len).decode("utf-8")
+    except UnicodeDecodeError:
+        raise TokenMalformed("identity is not UTF-8") from None
+    (app_len,) = struct.unpack(">H", take(2))
+    try:
+        application = take(app_len).decode("utf-8")
+    except UnicodeDecodeError:
+        raise TokenMalformed("application is not UTF-8") from None
+    issued_at, expires_at = struct.unpack(">QQ", take(16))
+    nonce = take(16)
+    signature = take(32)
+    if cursor != len(raw):
+        raise TokenMalformed("trailing bytes in record")
+    if not identity:
+        raise TokenMalformed("identity is empty")
+    if expires_at <= issued_at:
+        raise TokenMalformed("expiry not after issuance")
+    return IdentityToken(identity, application, issued_at, expires_at, nonce, signature)
+
+
+def _decode_outcome(decode, token):
+    try:
+        return decode(token)
+    except TokenError as exc:
+        return type(exc), str(exc)
+
+
+_field = st.one_of(st.text(max_size=6).map(lambda t: t.encode("utf-8")), st.binary(max_size=6))
+_u64 = st.integers(min_value=0, max_value=2**64 - 1)
+_record = st.builds(
+    lambda ident, app, times, tail: (
+        struct.pack(">H", len(ident)) + ident + struct.pack(">H", len(app)) + app
+        + struct.pack(">QQ", *times) + tail
+    ),
+    _field,
+    _field,
+    st.tuples(_u64, _u64),
+    st.binary(min_size=40, max_size=56),
+)
+
+
+@given(_record, st.data())
+def test_decode_token_matches_reference_on_records(record, data):
+    # Cut anywhere, then maybe append garbage: truncated, exact and
+    # overlong records all occur.
+    cut = data.draw(st.integers(min_value=0, max_value=len(record)))
+    raw = record[:cut] + data.draw(st.binary(max_size=8))
+    token = base64.urlsafe_b64encode(raw).decode("ascii")
+    assert _decode_outcome(decode_token, token) == _decode_outcome(_reference_decode_token, token)
+
+
+@given(st.one_of(st.text(max_size=40), st.binary(max_size=80).map(
+    lambda raw: base64.urlsafe_b64encode(raw).decode("ascii"))))
+def test_decode_token_matches_reference_on_any_text(token):
+    assert _decode_outcome(decode_token, token) == _decode_outcome(_reference_decode_token, token)
+
+
+def test_decode_token_matches_reference_on_issued_tokens():
+    for seed in range(20):
+        token = make_token(identity="a" + "ü" * seed, application="app", ttl=seed + 1, seed=seed).encode()
+        assert _decode_outcome(decode_token, token) == _decode_outcome(
+            _reference_decode_token, token
+        )
+        assert decode_token(token) == _reference_decode_token(token)
 
 
 @given(st.text(max_size=80))

@@ -69,6 +69,9 @@ def running_server(server_files):
         proc.wait(10)
     except subprocess.TimeoutExpired:
         proc.kill()
+        proc.wait()
+    proc.stdout.close()
+    proc.stderr.close()
 
 
 def run_cli(*args, stdin: bytes = b"") -> subprocess.CompletedProcess:

@@ -31,62 +31,78 @@ from usp.wire import (
 )
 
 
+@pytest.fixture
+def pair():
+    """memory_pair(), with every end it made closed after the test."""
+    ends = []
+
+    def make(fault_plan=None):
+        made = memory_pair(fault_plan)
+        ends.extend(made)
+        return made
+
+    yield make
+    for end in ends:
+        end.close()
+
+
 # --- memory pair ---
 
 
-def test_pipe_semantics():
-    a, b = memory_pair()
+def test_pipe_semantics(pair):
+    a, b = pair()
     a.write(b"abc")
     assert b.read(10) == b"abc"
     b.write(b"reply")
     assert a.read(10) == b"reply"
 
 
-def test_reads_are_ordered_and_splittable():
-    a, b = memory_pair()
+def test_reads_are_ordered_and_splittable(pair):
+    a, b = pair()
     a.write(b"hello")
     a.write(b"world")
     assert b.read(3) == b"hel"
     assert b.read(100) == b"loworld"
 
 
-def test_close_propagates_eof():
-    a, b = memory_pair()
+def test_close_propagates_eof(pair):
+    a, b = pair()
     a.close()
     assert b.read(10) == b""
 
 
-def test_close_drains_pending_bytes_first():
-    a, b = memory_pair()
+def test_close_drains_pending_bytes_first(pair):
+    a, b = pair()
     a.write(b"abc")
     a.close()
     assert b.read(10) == b"abc"
     assert b.read(10) == b""
 
 
-def test_local_reads_end_after_own_close():
-    a, b = memory_pair()
+def test_local_reads_end_after_own_close(pair):
+    a, b = pair()
     b.write(b"pending")
     a.close()
     assert a.read(10) == b""
+    assert a.read(10, timeout=5) == b""
 
 
-def test_write_after_peer_close_fails():
-    a, b = memory_pair()
+def test_write_after_peer_close_fails(pair):
+    a, b = pair()
     b.close()
     with pytest.raises(ConnectionLost):
         a.write(b"x")
 
 
-def test_write_after_own_close_fails():
-    a, _ = memory_pair()
+def test_write_after_own_close_fails(pair):
+    a, _ = pair()
     a.close()
     with pytest.raises(ConnectionLost):
         a.write(b"x")
 
 
-def test_shutdown_write_signals_eof_but_keeps_reading():
-    a, b = memory_pair()
+def test_shutdown_write_signals_eof_but_keeps_reading(pair):
+    a, b = pair()
     a.write(b"req")
     a.shutdown_write()
     assert b.read(10) == b"req"
@@ -95,14 +111,14 @@ def test_shutdown_write_signals_eof_but_keeps_reading():
     assert a.read(10) == b"resp"
 
 
-def test_read_timeout():
-    a, _ = memory_pair()
+def test_read_timeout(pair):
+    a, _ = pair()
     with pytest.raises(ReadTimeout):
         a.read(1, timeout=0.01)
 
 
-def test_blocking_read_wakes_on_write():
-    a, b = memory_pair()
+def test_blocking_read_wakes_on_write(pair):
+    a, b = pair()
     result = []
 
     def reader():
@@ -116,8 +132,8 @@ def test_blocking_read_wakes_on_write():
     assert result == [b"late"]
 
 
-def test_fault_plan_drops_at_byte():
-    a, b = memory_pair(FaultPlan(drop_at_byte=5))
+def test_fault_plan_drops_at_byte(pair):
+    a, b = pair(FaultPlan(drop_at_byte=5))
     a.write(b"abcde")
     assert b.read(10) == b"abcde"
     with pytest.raises(ConnectionLost):
@@ -127,24 +143,24 @@ def test_fault_plan_drops_at_byte():
         b.write(b"x")
 
 
-def test_fault_plan_counts_both_directions():
-    a, b = memory_pair(FaultPlan(drop_at_byte=5))
+def test_fault_plan_counts_both_directions(pair):
+    a, b = pair(FaultPlan(drop_at_byte=5))
     a.write(b"abc")
     b.write(b"de")
     with pytest.raises(ConnectionLost):
         a.write(b"f")
 
 
-def test_fault_plan_delivers_prefix_then_eof():
-    a, b = memory_pair(FaultPlan(drop_at_byte=5))
+def test_fault_plan_delivers_prefix_then_eof(pair):
+    a, b = pair(FaultPlan(drop_at_byte=5))
     with pytest.raises(ConnectionLost):
         a.write(b"abcdef")
     assert b.read(10, timeout=1) == b"abcde"
     assert b.read(10, timeout=1) == b""
 
 
-def test_fault_plan_cut_mid_frame_ends_peer_recv_at_once():
-    a, b = memory_pair(FaultPlan(drop_at_byte=6))
+def test_fault_plan_cut_mid_frame_ends_peer_recv_at_once(pair):
+    a, b = pair(FaultPlan(drop_at_byte=6))
     with pytest.raises(ConnectionLost):
         FrameChannel(a).send(Connect(application="echo"))
     started = time.monotonic()
@@ -159,6 +175,8 @@ def test_memory_listener_accept_and_close():
     server = listener.accept()
     client.write(b"ping")
     assert server.read(10) == b"ping"
+    client.close()
+    server.close()
     listener.close()
     with pytest.raises(ListenerClosed):
         listener.accept()
@@ -242,14 +260,14 @@ def test_tcp_listener_close_unblocks_accept():
 # --- framed channel ---
 
 
-def test_channel_send_recv():
-    a, b = memory_pair()
+def test_channel_send_recv(pair):
+    a, b = pair()
     FrameChannel(a).send(Connect(application="echo"))
     assert FrameChannel(b).recv() == Connect(application="echo")
 
 
-def test_two_frames_in_one_chunk_yield_two_recvs():
-    a, b = memory_pair()
+def test_two_frames_in_one_chunk_yield_two_recvs(pair):
+    a, b = pair()
     a.write(encode_frame(Connect(application="echo")) + encode_frame(Error(error="x")))
     chan = FrameChannel(b)
     assert chan.recv() == Connect(application="echo")
@@ -257,9 +275,9 @@ def test_two_frames_in_one_chunk_yield_two_recvs():
 
 
 @pytest.mark.parametrize("cut", range(1, 10))
-def test_frame_split_across_writes(cut):
+def test_frame_split_across_writes(pair, cut):
     frame = encode_frame(Connect(application="echo"))
-    a, b = memory_pair()
+    a, b = pair()
     chan = FrameChannel(b)
     result = []
 
@@ -275,8 +293,8 @@ def test_frame_split_across_writes(cut):
     assert result == [Connect(application="echo")]
 
 
-def test_clean_eof_between_frames_returns_none():
-    a, b = memory_pair()
+def test_clean_eof_between_frames_returns_none(pair):
+    a, b = pair()
     FrameChannel(a).send(Connect(application="echo"))
     a.close()
     chan = FrameChannel(b)
@@ -284,28 +302,28 @@ def test_clean_eof_between_frames_returns_none():
     assert chan.recv() is None
 
 
-def test_peer_close_mid_frame_is_connection_lost():
+def test_peer_close_mid_frame_is_connection_lost(pair):
     frame = encode_frame(Connect(application="echo"))
-    a, b = memory_pair()
+    a, b = pair()
     a.write(frame[: len(frame) // 2])
     a.close()
     with pytest.raises(ConnectionLost):
         FrameChannel(b).recv()
 
 
-def test_oversize_header_rejected_before_body():
+def test_oversize_header_rejected_before_body(pair):
     import struct
 
-    a, b = memory_pair()
+    a, b = pair()
     a.write(struct.pack(">I", MAX_FRAME_BYTES + 1))
     with pytest.raises(MalformedMessage) as exc:
         FrameChannel(b).recv()
     assert exc.value.kind is MalformedKind.OVERSIZE
 
 
-def test_recv_deadline_with_jumping_clock():
+def test_recv_deadline_with_jumping_clock(pair):
     now = [1000.0]
-    a, b = memory_pair()
+    a, b = pair()
     chan = FrameChannel(b)
     result = []
 
@@ -323,8 +341,8 @@ def test_recv_deadline_with_jumping_clock():
     assert result == ["timeout"]
 
 
-def test_recv_deadline_already_passed():
-    _, b = memory_pair()
+def test_recv_deadline_already_passed(pair):
+    _, b = pair()
     with pytest.raises(RecvTimeout):
         FrameChannel(b).recv(deadline=5.0, clock=lambda: 6.0)
 
@@ -342,9 +360,27 @@ def test_channel_over_tcp_matches_memory():
         listener.close()
 
 
-def test_peek_pending():
-    a, b = memory_pair()
+def test_peek_pending(pair):
+    a, b = pair()
     chan = FrameChannel(b)
     assert chan.peek_pending() is False
     a.write(b"!")
     assert chan.peek_pending() is True
+    assert b.read(10) == b"!"
+
+
+def test_pending_peeks_without_consuming(pair):
+    a, b = pair()
+    assert b.pending() is False
+    a.write(b"xy")
+    assert b.pending() is True
+    assert b.pending() is True
+    assert b.read(10) == b"xy"
+    assert b.pending() is False
+    a.shutdown_write()
+    # End-of-stream makes the socket readable, but it is not data.
+    assert b.pending() is False
+    assert b.read(10) == b""
+    b.close()
+    assert b.pending() is False
+

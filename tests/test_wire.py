@@ -309,6 +309,26 @@ def test_byte_at_a_time_decoding(msgs):
     assert decoded == msgs
 
 
+def test_control_class_is_exactly_unicode_category_cc():
+    import unicodedata
+
+    from usp.wire import _CONTROL
+
+    every = "".join(map(chr, range(0x110000)))
+    cc = {ch for ch in every if unicodedata.category(ch) == "Cc"}
+    assert set(_CONTROL.findall(every)) == cc
+    assert len(cc) == 65
+
+
+@given(_messages)
+def test_encode_payload_and_message_name_match_the_wire_dict(msg):
+    wire = msg.to_wire_dict()
+    assert encode_payload(msg) == json.dumps(
+        wire, separators=(",", ":"), ensure_ascii=False
+    ).encode("utf-8")
+    assert message_name(msg) == wire["message"]
+
+
 def test_payload_exactly_at_limit_is_accepted():
     error_text = "x" * (MAX_FRAME_BYTES - len(b'{"message":"error","error":""}'))
     data = encode_frame(Error(error=error_text))
