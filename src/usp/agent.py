@@ -451,18 +451,16 @@ class ServerHandle:
                 if self._stopping:
                     return False
         with self._lock:
-            stopping = self._stopping
-            if not stopping:
-                self._idle -= 1
-                sid = self._next_id
-                self._next_id += 1
-                self._live_streams[sid] = stream
-                if not self._idle:
-                    self._start_worker()
-        if stopping:
-            # shutdown() has already closed the streams it knows of.
-            stream.close()
-            return False
+            if self._stopping:
+                # shutdown() has already closed the streams it knows of.
+                stream.close()
+                return False
+            self._idle -= 1
+            sid = self._next_id
+            self._next_id += 1
+            self._live_streams[sid] = stream
+            if not self._idle:
+                self._start_worker()
         self._run_session(sid, stream)
         with self._lock:
             self._idle += 1

@@ -44,6 +44,9 @@ from .wire import (
 
 DEFAULT_POLL_INTERVAL = 0.02
 
+# poll() takes a C int of milliseconds; longer waits are cut to this.
+_POLL_MAX_MS = 2**31 - 1
+
 
 class TransportError(UspError):
     pass
@@ -202,7 +205,7 @@ class SocketStream(StreamHandle):
     def read(self, n: int, timeout: float | None = None) -> bytes:
         if self._closed:
             return b""
-        if timeout is not None and not self._poll.poll(timeout * 1000):
+        if timeout is not None and not self._poll.poll(min(timeout * 1000, _POLL_MAX_MS)):
             raise ReadTimeout("no data within timeout")
         try:
             return self._sock.recv(n)

@@ -252,8 +252,22 @@ def test_data_before_connect_aborts_handoff(server):
     # The application payload rides in the same write as the initialize,
     # so it is already buffered when the server decides to hand off.
     stream.write(first + b"EAGER DATA")
+    chan = FrameChannel(stream)
+    assert chan.recv(deadline=time.monotonic() + 5, clock=time.monotonic) == Error(
+        "protocol violation: application data before connect"
+    )
+    # Nothing follows the error frame. The server closed with input still
+    # unread, so the socketpair may report a reset instead of a clean EOF.
+    try:
+        assert chan.recv(deadline=time.monotonic() + 5, clock=time.monotonic) is None
+    except ConnectionLost:
+        pass
     record = server.wait_records(1)[0]
     assert record.outcome == "protocol_violation"
+    assert [(e.direction, e.name) for e in record.trace] == [
+        ("c2s", "initialize"),
+        ("s2c", "error"),
+    ]
     assert server.handler_calls == []
     stream.close()
 
@@ -280,32 +294,6 @@ def test_header_then_eof_is_connection_lost(server):
     record = server.wait_records(1)[0]
     assert record.outcome == "connection_lost"
     assert record.trace == ()
-    assert server.handler_calls == []
-    stream.close()
-
-
-def test_data_before_connect_gets_one_error_frame(server):
-    stream = server.listener.connect()
-    first = encode_frame(
-        Initialize(authentication=("psk-cr",), streams=(StreamRequest("echo"),))
-    )
-    stream.write(first + b"EAGER DATA")
-    chan = FrameChannel(stream)
-    assert chan.recv(deadline=time.monotonic() + 5, clock=time.monotonic) == Error(
-        "protocol violation: application data before connect"
-    )
-    # Nothing follows the error frame. The server closed with input still
-    # unread, so the socketpair may report a reset instead of a clean EOF.
-    try:
-        assert chan.recv(deadline=time.monotonic() + 5, clock=time.monotonic) is None
-    except ConnectionLost:
-        pass
-    record = server.wait_records(1)[0]
-    assert record.outcome == "protocol_violation"
-    assert [(e.direction, e.name) for e in record.trace] == [
-        ("c2s", "initialize"),
-        ("s2c", "error"),
-    ]
     assert server.handler_calls == []
     stream.close()
 
@@ -400,14 +388,15 @@ def test_handler_exception_is_isolated():
         handle.shutdown()
 
 
-def _serve_echo_app(handler):
-    """Serve one open "echo" app with ``handler`` on a fresh memory listener."""
+def _serve_echo_app(handler, listener=None, **serve_kwargs):
+    """Serve one open "echo" app with ``handler``, by default on a fresh memory listener."""
     config = ServerConfig(
         registrations=(ApplicationRegistration("echo", False, handler),),
         token_secret=SECRET,
     )
-    listener = MemoryListener()
-    handle = serve(listener, config, clock=VirtualClock(), rng=random.Random(0))
+    if listener is None:
+        listener = MemoryListener()
+    handle = serve(listener, config, clock=VirtualClock(), rng=random.Random(0), **serve_kwargs)
     return listener, handle
 
 
@@ -582,14 +571,7 @@ def test_internal_error_record_spans_the_session():
 
 def test_observer_sees_every_record_in_order():
     observed = []
-    config = ServerConfig(
-        registrations=(ApplicationRegistration("echo", False, echo_handler),),
-        token_secret=SECRET,
-    )
-    listener = MemoryListener()
-    handle = serve(
-        listener, config, clock=VirtualClock(), rng=random.Random(0), observer=observed.append
-    )
+    listener, handle = _serve_echo_app(echo_handler, observer=observed.append)
     try:
         for i in range(10):
             stream, _ = connect(listener, "echo", clock=VirtualClock(), rng=random.Random(i))
@@ -622,12 +604,7 @@ class _WatchedListener(MemoryListener):
 
 
 def test_server_keeps_no_finished_stream():
-    listener = _WatchedListener()
-    config = ServerConfig(
-        registrations=(ApplicationRegistration("echo", False, echo_handler),),
-        token_secret=SECRET,
-    )
-    handle = serve(listener, config, clock=VirtualClock(), rng=random.Random(0))
+    listener, handle = _serve_echo_app(echo_handler, _WatchedListener())
     try:
         for i in range(50):
             stream, _ = connect(listener, "echo", clock=VirtualClock(), rng=random.Random(i))
@@ -643,18 +620,13 @@ def test_server_keeps_no_finished_stream():
 
 
 def test_shutdown_wakes_every_worker_waiting_in_accept():
-    listener = _WatchedListener()
     gate = threading.Barrier(3, timeout=5)
 
     def handler(stream, ctx):
         gate.wait()
         stream.close()
 
-    config = ServerConfig(
-        registrations=(ApplicationRegistration("echo", False, handler),),
-        token_secret=SECRET,
-    )
-    handle = serve(listener, config, clock=VirtualClock(), rng=random.Random(0))
+    listener, handle = _serve_echo_app(handler, _WatchedListener())
     try:
         # Two sessions at once grow the pool to three workers.
         streams = [
@@ -670,6 +642,33 @@ def test_shutdown_wakes_every_worker_waiting_in_accept():
         handle.shutdown()
     assert not [w for w in workers if w.is_alive()]
     assert handle.handoff_count == 2
+
+
+def test_connection_accepted_after_shutdown_began_is_closed():
+    class GatedListener(MemoryListener):
+        """Holds accept back until shutdown() closes the listener."""
+
+        def __init__(self):
+            super().__init__()
+            self.gate = threading.Event()
+
+        def accept(self):
+            self.gate.wait(5)
+            return super().accept()
+
+        def close(self):
+            super().close()
+            self.gate.set()
+
+    listener, handle = _serve_echo_app(echo_handler, GatedListener())
+    # Queued before shutdown(), accepted only after it began.
+    client = listener.connect()
+    try:
+        handle.shutdown(timeout=1)
+        assert client.read(10, timeout=2) == b""
+        assert handle.records() == []
+    finally:
+        client.close()
 
 
 def test_serve_over_tcp(server):

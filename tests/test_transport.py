@@ -117,6 +117,13 @@ def test_read_timeout(pair):
         a.read(1, timeout=0.01)
 
 
+def test_read_accepts_a_timeout_beyond_the_poll_limit(pair):
+    a, b = pair()
+    a.write(b"x")
+    # 3e6 s is more milliseconds than poll() can take in one call.
+    assert b.read(1, timeout=3e6) == b"x"
+
+
 def test_blocking_read_wakes_on_write(pair):
     a, b = pair()
     result = []
@@ -366,7 +373,7 @@ def test_peek_pending(pair):
     assert chan.peek_pending() is False
     a.write(b"!")
     assert chan.peek_pending() is True
-    assert b.read(10) == b"!"
+    assert b.read(10, timeout=2) == b"!"
 
 
 def test_pending_peeks_without_consuming(pair):
@@ -375,12 +382,12 @@ def test_pending_peeks_without_consuming(pair):
     a.write(b"xy")
     assert b.pending() is True
     assert b.pending() is True
-    assert b.read(10) == b"xy"
+    assert b.read(10, timeout=2) == b"xy"
     assert b.pending() is False
     a.shutdown_write()
     # End-of-stream makes the socket readable, but it is not data.
     assert b.pending() is False
-    assert b.read(10) == b""
+    assert b.read(10, timeout=2) == b""
     b.close()
     assert b.pending() is False
 
