@@ -27,8 +27,16 @@ from usp.agent import (
 )
 from usp.auth import AuthMethod, validate_token
 from usp.harness import VirtualClock
-from usp.transport import ConnectionLost, FaultPlan, FrameChannel, MemoryListener, tcp_listen
-from usp.wire import Error, Initialize, StreamRequest, encode_frame
+from usp.errors import UspError
+from usp.transport import (
+    ConnectionLost,
+    FaultPlan,
+    FrameChannel,
+    MemoryListener,
+    StreamHandle,
+    tcp_listen,
+)
+from usp.wire import Error, FrameDecoder, Initialize, StreamRequest, encode_frame, message_name
 
 ALICE_KEY = bytes.fromhex("00112233445566778899aabbccddeeff")
 SECRET = b"agent test token secret 0123456789"
@@ -284,6 +292,70 @@ def test_cut_during_server_connect_is_connection_lost(server):
     assert record.outcome == "connection_lost"
     assert [(e.direction, e.name) for e in record.trace] == [("c2s", "initialize")]
     assert server.handler_calls == []
+
+
+class _Tap(StreamHandle):
+    """A client stream that keeps every byte crossing it, in order."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.peer_label = inner.peer_label
+        self.chunks = []
+
+    def read(self, n, timeout=None):
+        data = self.inner.read(n, timeout)
+        self.chunks.append(("s2c", data))
+        return data
+
+    def write(self, data):
+        self.inner.write(data)
+        self.chunks.append(("c2s", data))
+
+    def pending(self):
+        return self.inner.pending()
+
+    def close(self):
+        self.inner.close()
+
+
+def _handshake_frames(server, **kwargs):
+    """(direction, name, encoded size) of each frame of one clean connect."""
+    tap = _Tap(server.listener.connect())
+    stream, _ = connect(tap, "vault", clock=server.clock, rng=random.Random(1), **kwargs)
+    stream.close()
+    decoders = {"c2s": FrameDecoder(), "s2c": FrameDecoder()}
+    frames = []
+    for direction, data in tap.chunks:
+        decoders[direction].feed(data)
+        frames += [(direction, message_name(m), len(encode_frame(m)))
+                   for m in decoders[direction].frames()]
+    assert sum(size for *_, size in frames) == sum(len(data) for _, data in tap.chunks)
+    return frames
+
+
+def test_client_exception_at_every_cut_of_an_authenticated_connect(server):
+    alice = Credentials("alice", ALICE_KEY)
+    frames = _handshake_frames(server, credentials=alice)
+    names = [(direction, name) for direction, name, _ in frames]
+    assert names == [
+        ("c2s", "initialize"), ("s2c", "authenticate"), ("s2c", "authdata"),
+        ("c2s", "authdata"), ("s2c", "token"), ("c2s", "initialize"), ("s2c", "connect"),
+    ]
+    # Cut inside frame k: the first two frames leave the client before any
+    # authentication, frames 2-4 fall inside it, the last two after it.
+    expected = [ConnectionLost] * 2 + [AuthFailed] * 3 + [ConnectionLost] * 2
+    start = 0
+    for k, (_, _, size) in enumerate(frames):
+        for offset in range(max(start, 1), start + size):
+            stream = server.listener.connect(FaultPlan(drop_at_byte=offset))
+            trace = []
+            with pytest.raises(UspError) as info:
+                connect(stream, "vault", credentials=alice, clock=server.clock,
+                        rng=random.Random(1), trace=trace)
+            assert type(info.value) is expected[k], (offset, names[k])
+            assert [(e.direction, e.name) for e in trace] == names[:k], offset
+        start += size
+    assert len(server.handler_calls) == 1  # the clean run only
 
 
 def test_header_then_eof_is_connection_lost(server):
