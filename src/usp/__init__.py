@@ -27,12 +27,25 @@ from .auth import (
     validate_token,
 )
 from .errors import UspError
-from .harness import canonical_scenarios, enumerate_machine, fuzz_malformed, run_scenario
 from .session import client_step, server_step
 from .transport import memory_pair, tcp_dial, tcp_listen
 from .wire import MAX_FRAME_BYTES, decode_frame, encode_frame
 
 __version__ = "0.1.0"
+
+# Test tooling, loaded on first use so that agents do not import it.
+_HARNESS_NAMES = frozenset(
+    {"canonical_scenarios", "enumerate_machine", "fuzz_malformed", "run_scenario"}
+)
+
+
+def __getattr__(name: str):
+    if name in _HARNESS_NAMES:
+        from . import harness
+
+        return getattr(harness, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ApplicationRegistration",

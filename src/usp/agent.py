@@ -1,5 +1,11 @@
 """Agents that run the session machines over live streams.
 
+Client and server share one handshake loop, _drive: it reads a frame,
+feeds it to the pure session machine (server_step or client_step), sends
+the frames the machine asks for and starts authentication runs, until the
+phase is terminal. Only the setup around it and the reading of the final
+phase differ between the two sides.
+
 The server agent runs a pool of worker threads that accept connections
 themselves (the Leader/Followers pattern): there is no acceptor thread
 and no queue between accept and session. A worker that accepts a
@@ -8,9 +14,11 @@ stream plus the established IdentityContext to the registered application
 handler on the same thread, then goes back to accept. It starts a
 replacement first if no other worker is left waiting in accept, and
 workers live until shutdown(), so the thread count is the peak number of
-concurrent sessions plus one. The handler never sees a byte that arrived
-before the handshake finished: data sent ahead of the connect
-confirmation aborts the session instead of being buffered.
+concurrent sessions plus one. A worker whose accept fails (EMFILE, say)
+retries after a back-off that doubles from 5 ms up to 1 s. The handler
+never sees a byte that arrived before the handshake finished: data sent
+ahead of the connect confirmation aborts the session instead of being
+buffered.
 
 The client agent performs a single connect or a token acquisition; both
 are synchronous and return once the session is settled.
@@ -33,6 +41,7 @@ from .auth import (
     DEFAULT_TOKEN_TTL,
     PSK_PROTOCOL_NAME,
     AuthConfig,
+    AuthHandle,
     AuthProtocol,
     AuthStatus,
     AuthStep,
@@ -58,15 +67,12 @@ from .session import (
     BeginAuth,
     ClientAuthInProgress,
     ClientEnv,
-    ClientPhase,
-    Close,
     CloseCause,
     Closed,
     Connected,
     FrameMalformed,
     FrameReceived,
     HandedOff,
-    Handoff,
     HandshakeTimeout,
     Send,
     ServerEnv,
@@ -92,13 +98,17 @@ from .wire import (
     AuthData,
     Error,
     MalformedMessage,
+    Message,
     StreamRequest,
-    Token,
     message_name,
     name_error,
 )
 
 DEFAULT_PORT = 4450
+
+# Back-off between failed accepts, in seconds: doubles from MIN up to MAX.
+_ACCEPT_BACKOFF_MIN = 0.005
+_ACCEPT_BACKOFF_MAX = 1.0
 
 Handler = Callable[[StreamHandle, IdentityContext], None]
 
@@ -177,6 +187,33 @@ class ServerConfig:
     def auth_map(self) -> dict[str, bool]:
         return {r.application: r.requires_auth for r in self.registrations}
 
+    def env(self, clock: Clock, rng: random.Random) -> ServerEnv:
+        """The session machine's environment for this config.
+
+        With ``single_use_tokens`` each call gets its own nonce cache.
+        """
+        validator = None
+        if self.single_use_tokens:
+            cache = NonceCache()
+            secret = self.token_secret
+
+            def validator(token: str, application: str) -> IdentityContext:
+                ctx = validate_token(token, application, clock, secret)
+                if not cache.first_use(decode_token(token).nonce):
+                    raise TokenError("token already used")
+                return ctx
+
+        return ServerEnv(
+            applications=self.auth_map(),
+            supported_auth=self.supported_auth,
+            token_secret=self.token_secret,
+            clock=clock,
+            rng=rng,
+            token_ttl=self.token_ttl,
+            lenient_coexistence=self.lenient_coexistence,
+            token_validator=validator,
+        )
+
 
 @dataclass
 class SessionRecord:
@@ -229,21 +266,102 @@ def _safe_step(handle, incoming: bytes | None) -> AuthStep:
         return AuthStep(status=AuthStatus.FAIL, reason=f"auth protocol error: {exc}")
 
 
-def _begin_client_auth(
-    registry: Mapping[str, AuthProtocol],
-    protocol: str,
-    credentials: Credentials | None,
-    rng: random.Random,
-):
+def _begin_auth(
+    registry: Mapping[str, AuthProtocol], role: str, config: AuthConfig, protocol: str
+) -> AuthHandle | None:
     proto = registry.get(protocol)
-    if proto is None:
-        return None
-    config = AuthConfig(
-        rng=rng,
-        identity=credentials.identity if credentials else None,
-        key=credentials.key if credentials else None,
-    )
-    return proto.begin("client", config)
+    return None if proto is None else proto.begin(role, config)
+
+
+# --- the handshake loop, shared by both sides ---
+
+
+def _drive(
+    stream: StreamHandle,
+    step: Callable,
+    env: ServerEnv | ClientEnv,
+    state,
+    pending: deque[SessionEvent],
+    begin_auth: Callable[[str], AuthHandle | None],
+    deadline: float,
+    inbound: str,
+    outbound: str,
+) -> tuple[object, list[TraceEntry], object, Message | None]:
+    """Pump one side's handshake over ``stream`` until its phase is terminal.
+
+    ``step`` is server_step or client_step; ``inbound`` and ``outbound``
+    are the trace directions of received and sent frames. Returns the
+    final phase, the trace, the phase held when the connection was lost
+    (None if it was not) and the last message received.
+    """
+    chan = FrameChannel(stream)
+    trace: list[TraceEntry] = []
+    live_handle = None
+    lost_in = None
+    last = None
+
+    while not isinstance(state, (HandedOff, Connected, Closed)):
+        if pending:
+            event: SessionEvent = pending.popleft()
+        else:
+            try:
+                last = chan.recv(deadline=deadline, clock=env.clock)
+            except RecvTimeout:
+                event = HandshakeTimeout()
+            except MalformedMessage as exc:
+                trace.append(TraceEntry(inbound, MALFORMED_ENTRY))
+                event = FrameMalformed(exc.kind)
+            except ConnectionLost:
+                lost_in, state = state, Closed(CloseCause.CONNECTION_LOST, "connection lost")
+                break
+            else:
+                if last is None:
+                    lost_in, state = state, Closed(CloseCause.CONNECTION_LOST, "peer closed")
+                    break
+                trace.append(TraceEntry(inbound, message_name(last)))
+                if (
+                    isinstance(last, AuthData)
+                    and isinstance(state, (AuthInProgress, ClientAuthInProgress))
+                    and live_handle is not None
+                ):
+                    event = AuthStepResult(_safe_step(live_handle, last.payload))
+                else:
+                    event = FrameReceived(last)
+
+        state, actions = step(state, event, env)
+
+        if isinstance(state, HandedOff) and chan.peek_pending():
+            # Bytes arrived before the connect confirmation went out: the
+            # application must never see them, so the session dies here.
+            text = "protocol violation: application data before connect"
+            try:
+                chan.send(Error(text))
+                trace.append(TraceEntry(outbound, "error"))
+            except ConnectionLost:
+                pass
+            state = Closed(CloseCause.PROTOCOL_VIOLATION, text)
+            break
+
+        for action in actions:
+            if isinstance(action, Send):
+                try:
+                    chan.send(action.message)
+                except ConnectionLost:
+                    lost_in, state = state, Closed(CloseCause.CONNECTION_LOST, "connection lost")
+                    break
+                trace.append(TraceEntry(outbound, message_name(action.message)))
+            elif isinstance(action, BeginAuth):
+                live_handle = begin_auth(action.protocol)
+                if live_handle is None:
+                    first = AuthStep(
+                        status=AuthStatus.FAIL,
+                        reason=f"offered protocol not implemented: {action.protocol}",
+                    )
+                else:
+                    first = _safe_step(live_handle, None)
+                pending.append(AuthStepResult(first))
+
+    return state, trace, lost_in, last
 
 
 # --- server side ---
@@ -257,115 +375,50 @@ def _drive_server(
     handshake_timeout: float,
     started_at: float,
 ) -> SessionRecord:
-    chan = FrameChannel(stream)
-    trace: list[TraceEntry] = []
-    state = initial_server_state()
-    pending: deque[SessionEvent] = deque()
-    live_handle = None
-    deadline = started_at + handshake_timeout
-    handoff_ctx: IdentityContext | None = None
-    detail: str | None = None
-
-    while not isinstance(state, (HandedOff, Closed)):
-        if pending:
-            event: SessionEvent = pending.popleft()
-        else:
-            try:
-                msg = chan.recv(deadline=deadline, clock=env.clock)
-            except RecvTimeout:
-                event = HandshakeTimeout()
-            except MalformedMessage as exc:
-                trace.append(TraceEntry(CLIENT_TO_SERVER, MALFORMED_ENTRY))
-                event = FrameMalformed(exc.kind)
-            except ConnectionLost:
-                state = Closed(CloseCause.CONNECTION_LOST, "connection lost")
-                break
-            else:
-                if msg is None:
-                    state = Closed(CloseCause.CONNECTION_LOST, "peer closed")
-                    break
-                trace.append(TraceEntry(CLIENT_TO_SERVER, message_name(msg)))
-                if (
-                    isinstance(msg, AuthData)
-                    and isinstance(state, AuthInProgress)
-                    and live_handle is not None
-                ):
-                    event = AuthStepResult(_safe_step(live_handle, msg.payload))
-                else:
-                    event = FrameReceived(msg)
-
-        state, actions = server_step(state, event, env)
-
-        if isinstance(state, HandedOff) and chan.peek_pending():
-            # Bytes arrived before the connect confirmation went out: the
-            # application must never see them, so the session dies here.
-            text = "protocol violation: application data before connect"
-            try:
-                chan.send(Error(text))
-                trace.append(TraceEntry(SERVER_TO_CLIENT, "error"))
-            except ConnectionLost:
-                pass
-            state = Closed(CloseCause.PROTOCOL_VIOLATION, text)
-            break
-
-        lost = False
-        for action in actions:
-            if isinstance(action, Send):
-                try:
-                    chan.send(action.message)
-                except ConnectionLost:
-                    state = Closed(CloseCause.CONNECTION_LOST, "connection lost")
-                    lost = True
-                    break
-                trace.append(TraceEntry(SERVER_TO_CLIENT, message_name(action.message)))
-            elif isinstance(action, BeginAuth):
-                proto = registry[action.protocol]
-                live_handle = proto.begin("server", AuthConfig(rng=env.rng))
-                pending.append(AuthStepResult(_safe_step(live_handle, None)))
-            elif isinstance(action, Handoff):
-                handoff_ctx = action.context
-            elif isinstance(action, Close):
-                detail = action.detail
-        if lost:
-            break
-
+    state, trace, _, _ = _drive(
+        stream,
+        server_step,
+        env,
+        initial_server_state(),
+        deque(),
+        lambda protocol: _begin_auth(registry, "server", AuthConfig(rng=env.rng), protocol),
+        started_at + handshake_timeout,
+        CLIENT_TO_SERVER,
+        SERVER_TO_CLIENT,
+    )
     ended_at = env.clock()
-    if isinstance(state, HandedOff) and handoff_ctx is not None:
-        record = SessionRecord(
+    if isinstance(state, Closed):
+        stream.close()
+        return SessionRecord(
             peer=stream.peer_label,
-            outcome="handed_off",
-            application=handoff_ctx.application,
-            identity=handoff_ctx.identity,
-            method=handoff_ctx.method.value,
-            detail=None,
+            outcome=state.cause.value,
+            application=None,
+            identity=None,
+            method=None,
+            detail=state.detail,
             started_at=started_at,
             ended_at=ended_at,
             trace=tuple(trace),
         )
-        handler = handlers[handoff_ctx.application]
-        try:
-            handler(stream, handoff_ctx)
-        except Exception as exc:
-            record.detail = f"handler error: {exc}"
-        finally:
-            stream.close()
-        return record
-
-    stream.close()
-    cause = state.cause.value if isinstance(state, Closed) else "unknown"
-    if isinstance(state, Closed) and state.detail is not None:
-        detail = state.detail
-    return SessionRecord(
+    ctx = state.context
+    record = SessionRecord(
         peer=stream.peer_label,
-        outcome=cause,
-        application=None,
-        identity=None,
-        method=None,
-        detail=detail,
+        outcome="handed_off",
+        application=ctx.application,
+        identity=ctx.identity,
+        method=ctx.method.value,
+        detail=None,
         started_at=started_at,
         ended_at=ended_at,
         trace=tuple(trace),
     )
+    try:
+        handlers[ctx.application](stream, ctx)
+    except Exception as exc:
+        record.detail = f"handler error: {exc}"
+    finally:
+        stream.close()
+    return record
 
 
 class ServerHandle:
@@ -404,7 +457,7 @@ class ServerHandle:
         # Workers waiting in accept, or about to; guarded by _lock.
         self._idle = 0
         self._workers: list[threading.Thread] = []
-        self._stopping = False
+        self._stopping = threading.Event()
         self._next_id = 0
         with self._lock:
             self._start_worker()
@@ -441,6 +494,7 @@ class ServerHandle:
         The stream is local to this call, so a worker waiting in accept
         keeps no finished session alive.
         """
+        delay = 0.0
         while True:
             try:
                 stream = self._listener.accept()
@@ -448,10 +502,13 @@ class ServerHandle:
             except ListenerClosed:
                 return False
             except Exception:
-                if self._stopping:
+                # EMFILE and the like pass once descriptors free up: back
+                # off and retry, as Go's net/http Server.Serve does.
+                delay = min(max(2 * delay, _ACCEPT_BACKOFF_MIN), _ACCEPT_BACKOFF_MAX)
+                if self._stopping.wait(delay):
                     return False
         with self._lock:
-            if self._stopping:
+            if self._stopping.is_set():
                 # shutdown() has already closed the streams it knows of.
                 stream.close()
                 return False
@@ -508,7 +565,7 @@ class ServerHandle:
         """
         deadline = time.monotonic() + timeout
         with self._lock:
-            self._stopping = True
+            self._stopping.set()
         # Wakes every worker waiting in accept.
         self._listener.close()
         with self._lock:
@@ -543,38 +600,14 @@ def serve(
     invoked exactly once per successful handshake, with the live stream
     and the established identity.
     """
-    clock = clock or time.time
-    rng = rng or random.SystemRandom()
     if registry is None:
         registry = make_registry(psk_protocol(config.psk_secrets))
     missing = [name for name in config.supported_auth if name not in registry]
     if missing:
         raise ValueError(f"supported_auth protocols without implementation: {missing}")
-
-    validator = None
-    if config.single_use_tokens:
-        cache = NonceCache()
-        secret = config.token_secret
-
-        def validator(token: str, application: str) -> IdentityContext:
-            ctx = validate_token(token, application, clock, secret)
-            if not cache.first_use(decode_token(token).nonce):
-                raise TokenError("token already used")
-            return ctx
-
-    env = ServerEnv(
-        applications=config.auth_map(),
-        supported_auth=config.supported_auth,
-        token_secret=config.token_secret,
-        clock=clock,
-        rng=rng,
-        token_ttl=config.token_ttl,
-        lenient_coexistence=config.lenient_coexistence,
-        token_validator=validator,
-    )
     return ServerHandle(
         listener,
-        env,
+        config.env(clock or time.time, rng or random.SystemRandom()),
         registry,
         config.handlers(),
         config.handshake_timeout,
@@ -659,117 +692,25 @@ def load_server_config(path: str | Path, handler: Handler = echo_handler) -> Ser
 # --- client side ---
 
 
-@dataclass
-class ClientOutcome:
-    phase: ClientPhase
-    context: IdentityContext | None
-    tokens: list[tuple[str, str]]
-    trace: list[TraceEntry]
-    lost_during_auth: bool
-
-
-def _drive_client(
-    stream: StreamHandle,
-    env: ClientEnv,
-    registry: Mapping[str, AuthProtocol],
-    credentials: Credentials | None,
-    rng: random.Random,
-    timeout: float,
-) -> ClientOutcome:
-    chan = FrameChannel(stream)
-    trace: list[TraceEntry] = []
-    state = initial_client_state()
-    pending: deque[SessionEvent] = deque([Start()])
-    live_handle = None
-    tokens: list[tuple[str, str]] = []
-    deadline = env.clock() + timeout
-    lost_during_auth = False
-
-    while not isinstance(state, (Connected, Closed)):
-        if pending:
-            event: SessionEvent = pending.popleft()
-        else:
-            try:
-                msg = chan.recv(deadline=deadline, clock=env.clock)
-            except RecvTimeout:
-                event = HandshakeTimeout()
-            except MalformedMessage as exc:
-                trace.append(TraceEntry(SERVER_TO_CLIENT, MALFORMED_ENTRY))
-                event = FrameMalformed(exc.kind)
-            except ConnectionLost:
-                lost_during_auth = isinstance(state, (ClientAuthInProgress, AwaitToken))
-                state = Closed(CloseCause.CONNECTION_LOST, "connection lost")
-                break
-            else:
-                if msg is None:
-                    lost_during_auth = isinstance(state, (ClientAuthInProgress, AwaitToken))
-                    state = Closed(CloseCause.CONNECTION_LOST, "peer closed")
-                    break
-                trace.append(TraceEntry(SERVER_TO_CLIENT, message_name(msg)))
-                if isinstance(msg, Token):
-                    tokens = [(s.application, s.token or "") for s in msg.streams]
-                if (
-                    isinstance(msg, AuthData)
-                    and isinstance(state, ClientAuthInProgress)
-                    and live_handle is not None
-                ):
-                    event = AuthStepResult(_safe_step(live_handle, msg.payload))
-                else:
-                    event = FrameReceived(msg)
-
-        state, actions = client_step(state, event, env)
-        lost = False
-        for action in actions:
-            if isinstance(action, Send):
-                try:
-                    chan.send(action.message)
-                except ConnectionLost:
-                    lost_during_auth = isinstance(state, (ClientAuthInProgress, AwaitToken))
-                    state = Closed(CloseCause.CONNECTION_LOST, "connection lost")
-                    lost = True
-                    break
-                trace.append(TraceEntry(CLIENT_TO_SERVER, message_name(action.message)))
-            elif isinstance(action, BeginAuth):
-                live_handle = _begin_client_auth(registry, action.protocol, credentials, rng)
-                if live_handle is None:
-                    step = AuthStep(
-                        status=AuthStatus.FAIL,
-                        reason=f"offered protocol not implemented: {action.protocol}",
-                    )
-                    pending.append(AuthStepResult(step))
-                else:
-                    pending.append(AuthStepResult(_safe_step(live_handle, None)))
-        if lost:
-            break
-
-    context = state.context if isinstance(state, Connected) else None
-    return ClientOutcome(
-        phase=state,
-        context=context,
-        tokens=tokens,
-        trace=trace,
-        lost_during_auth=lost_during_auth,
-    )
-
-
-def _raise_for_close(state: Closed, lost_during_auth: bool) -> None:
+def _close_error(state: Closed, lost_in) -> UspError:
+    """The exception a client raises for a handshake that ended in ``state``."""
     cause = state.cause
     detail = state.detail or ""
     if cause is CloseCause.REMOTE_ERROR:
         if detail == NO_SHARED_PROTOCOL_TEXT:
-            raise NoSharedProtocol(detail)
-        raise RemoteError(detail)
+            return NoSharedProtocol(detail)
+        return RemoteError(detail)
     if cause is CloseCause.AUTH_FAILED:
-        raise AuthFailed(detail or "authentication failed")
+        return AuthFailed(detail or "authentication failed")
     if cause is CloseCause.CONNECTION_LOST:
-        if lost_during_auth:
+        if isinstance(lost_in, (ClientAuthInProgress, AwaitToken)):
             # The silent teardown is the failure signal: no error frame
             # follows a failed authentication.
-            raise AuthFailed("stream closed during authentication")
-        raise ConnectionLost(detail or "connection lost")
+            return AuthFailed("stream closed during authentication")
+        return ConnectionLost(detail or "connection lost")
     if cause is CloseCause.TIMEOUT:
-        raise SessionTimeout("handshake timed out")
-    raise ProtocolViolation(detail or cause.value)
+        return SessionTimeout("handshake timed out")
+    return ProtocolViolation(detail or cause.value)
 
 
 def _open_endpoint(endpoint, timeout: float) -> StreamHandle:
@@ -781,6 +722,53 @@ def _open_endpoint(endpoint, timeout: float) -> StreamHandle:
         host, port = endpoint
         return tcp_dial(host, int(port), timeout=timeout)
     raise TypeError(f"unsupported endpoint: {endpoint!r}")
+
+
+def _client_handshake(
+    endpoint,
+    offered: tuple[str, ...],
+    requests: tuple[StreamRequest, ...],
+    credentials: Credentials | None,
+    registry: Mapping[str, AuthProtocol] | None,
+    clock: Clock | None,
+    rng: random.Random | None,
+    timeout: float,
+    trace: list[TraceEntry] | None,
+    stop_after_token: bool = False,
+):
+    """Open ``endpoint`` and run the client handshake to its end.
+
+    Returns the stream, the final phase, the phase the connection was lost
+    in (or None) and the last message received.
+    """
+    env = ClientEnv(
+        offered=offered,
+        requests=requests,
+        clock=clock or time.time,
+        stop_after_token=stop_after_token,
+    )
+    if registry is None:
+        registry = make_registry(psk_protocol())
+    config = AuthConfig(
+        rng=rng or random.SystemRandom(),
+        identity=credentials.identity if credentials else None,
+        key=credentials.key if credentials else None,
+    )
+    stream = _open_endpoint(endpoint, timeout)
+    state, steps, lost_in, last = _drive(
+        stream,
+        client_step,
+        env,
+        initial_client_state(),
+        deque([Start()]),
+        lambda protocol: _begin_auth(registry, "client", config, protocol),
+        env.clock() + timeout,
+        SERVER_TO_CLIENT,
+        CLIENT_TO_SERVER,
+    )
+    if trace is not None:
+        trace.extend(steps)
+    return stream, state, lost_in, last
 
 
 def connect(
@@ -803,27 +791,17 @@ def connect(
     the server's connect confirmation; on any failure it is closed and
     the matching exception raised.
     """
-    clock = clock or time.time
-    rng = rng or random.SystemRandom()
-    registry = registry if registry is not None else make_registry(psk_protocol())
     offered = tuple(offered)
     if not offered and token is None:
         raise ValueError("no authentication protocols offered and no token supplied")
-    env = ClientEnv(
-        offered=offered,
-        requests=(StreamRequest(application=application, token=token),),
-        clock=clock,
+    requests = (StreamRequest(application=application, token=token),)
+    stream, state, lost_in, _ = _client_handshake(
+        endpoint, offered, requests, credentials, registry, clock, rng, timeout, trace
     )
-    stream = _open_endpoint(endpoint, timeout)
-    outcome = _drive_client(stream, env, registry, credentials, rng, timeout)
-    if trace is not None:
-        trace.extend(outcome.trace)
-    if isinstance(outcome.phase, Connected):
-        return stream, outcome.phase.context
+    if isinstance(state, Connected):
+        return stream, state.context
     stream.close()
-    assert isinstance(outcome.phase, Closed)
-    _raise_for_close(outcome.phase, outcome.lost_during_auth)
-    raise AssertionError("unreachable")
+    raise _close_error(state, lost_in)
 
 
 def acquire_token(
@@ -849,31 +827,22 @@ def acquire_token(
     offered = tuple(offered)
     if not offered:
         raise ValueError("token acquisition needs at least one offered protocol")
-    clock = clock or time.time
-    rng = rng or random.SystemRandom()
-    registry = registry if registry is not None else make_registry(psk_protocol())
-    env = ClientEnv(
-        offered=offered,
-        requests=tuple(StreamRequest(application=app) for app in applications),
-        clock=clock,
+    requests = tuple(StreamRequest(application=app) for app in applications)
+    stream, state, lost_in, last = _client_handshake(
+        endpoint, offered, requests, credentials, registry, clock, rng, timeout, trace,
         stop_after_token=True,
     )
-    stream = _open_endpoint(endpoint, timeout)
-    outcome = _drive_client(stream, env, registry, credentials, rng, timeout)
-    if trace is not None:
-        trace.extend(outcome.trace)
     stream.close()
-    if isinstance(outcome.phase, Connected):
+    if isinstance(state, Connected):
         # The server connected instead of authenticating: nothing requires
         # a token here, so there is nothing to acquire.
         raise ProtocolViolation(
             "server connected without issuing tokens (no authentication required)"
         )
-    assert isinstance(outcome.phase, Closed)
-    if outcome.phase.cause is CloseCause.TOKEN_ACQUIRED:
-        return outcome.tokens
-    _raise_for_close(outcome.phase, outcome.lost_during_auth)
-    raise AssertionError("unreachable")
+    if state.cause is CloseCause.TOKEN_ACQUIRED:
+        # The session closes on the token message, so it came last.
+        return [(s.application, s.token or "") for s in last.streams]
+    raise _close_error(state, lost_in)
 
 
 def parse_target(url: str) -> tuple[str, int, str]:

@@ -24,7 +24,6 @@ from .agent import (
     serve,
 )
 from .errors import UspError
-from .harness import canonical_scenarios, diff_scenario, fuzz_malformed, run_scenario
 from .transport import BindError, ConnectionLost, StreamHandle, tcp_listen
 
 EXIT_OK = 0
@@ -181,6 +180,8 @@ def _cmd_token(args) -> int:
 
 
 def _cmd_scenario(args) -> int:
+    from .harness import canonical_scenarios, diff_scenario, run_scenario
+
     scenarios = canonical_scenarios()
     if args.name == "all":
         selected = list(scenarios.values())
@@ -203,6 +204,8 @@ def _cmd_scenario(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
+    from .harness import fuzz_malformed
+
     if args.n <= 0:
         print("--n must be positive", file=sys.stderr)
         return EXIT_USAGE

@@ -554,14 +554,14 @@ def _fuzz_payload(rng: random.Random, mutation_class: int) -> bytes:
     return encode_frame(msg)
 
 
-def _fuzz_config(counter: list[int]) -> ServerConfig:
-    def counting_handler(stream, ctx) -> None:
-        counter[0] += 1
+def _fuzz_config() -> ServerConfig:
+    def handler(stream, ctx) -> None:
+        pass
 
     return ServerConfig(
         registrations=(
-            ApplicationRegistration("echo", False, counting_handler),
-            ApplicationRegistration("vault", True, counting_handler),
+            ApplicationRegistration("echo", False, handler),
+            ApplicationRegistration("vault", True, handler),
         ),
         token_secret=bytes.fromhex(TEST_TOKEN_SECRET_HEX),
         supported_auth=(PSK_PROTOCOL_NAME,),
@@ -579,23 +579,14 @@ def fuzz_malformed(seed: int, n: int, config: ServerConfig | None = None) -> Fuz
     if n <= 0:
         raise ValueError("n must be positive")
     rng = random.Random(seed)
-    counter = [0]
     if config is None:
-        config = _fuzz_config(counter)
+        config = _fuzz_config()
     clock = VirtualClock()
-    env = ServerEnv(
-        applications=config.auth_map(),
-        supported_auth=config.supported_auth,
-        token_secret=config.token_secret,
-        clock=clock,
-        rng=rng,
-        token_ttl=config.token_ttl,
-        lenient_coexistence=config.lenient_coexistence,
-    )
+    env = config.env(clock, rng)
     registry = make_registry(psk_protocol(config.psk_secrets))
     handlers = config.handlers()
 
-    crashes = 0
+    handoffs = crashes = 0
     responses = {"error-frame": 0, "silent-close": 0}
     for i in range(n):
         payload = _fuzz_payload(rng, i % _MUTATION_CLASSES)
@@ -603,13 +594,17 @@ def fuzz_malformed(seed: int, n: int, config: ServerConfig | None = None) -> Fuz
         client.write(payload)
         client.shutdown_write()
         try:
-            _drive_server(server, env, registry, handlers, config.handshake_timeout, clock())
+            record = _drive_server(
+                server, env, registry, handlers, config.handshake_timeout, clock()
+            )
         except Exception:
             crashes += 1
+        else:
+            handoffs += record.outcome == "handed_off"
         responses[_classify_response(client)] += 1
         client.close()
     return FuzzReport(
-        cases=n, handoffs=counter[0], crashes=crashes, responses=responses, seed=seed
+        cases=n, handoffs=handoffs, crashes=crashes, responses=responses, seed=seed
     )
 
 
@@ -656,13 +651,7 @@ def _event_label(event: SessionEvent) -> str:
 
 
 def default_enumeration_env(seed: int = 0) -> ServerEnv:
-    return ServerEnv(
-        applications={"echo": False, "vault": True},
-        supported_auth=(PSK_PROTOCOL_NAME,),
-        token_secret=bytes.fromhex(TEST_TOKEN_SECRET_HEX),
-        clock=lambda: START_EPOCH,
-        rng=random.Random(seed),
-    )
+    return _fuzz_config().env(lambda: START_EPOCH, random.Random(seed))
 
 
 def build_event_alphabet(secret: bytes, now: float) -> list[SessionEvent]:

@@ -273,11 +273,22 @@ class TcpListener:
         return self._sock.getsockname()[1]
 
     def accept(self) -> StreamHandle:
+        """The next connection; ListenerClosed after close().
+
+        Any other OSError, such as EMFILE, propagates: the listener still
+        works, and the caller decides when to try again.
+        """
         try:
             conn, addr = self._sock.accept()
         except OSError:
-            raise ListenerClosed("listener closed") from None
-        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._closed:
+                raise ListenerClosed("listener closed") from None
+            raise
+        try:
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        except OSError:
+            conn.close()
+            raise
         return SocketStream(conn, label=f"{addr[0]}:{addr[1]}")
 
     def close(self) -> None:

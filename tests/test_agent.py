@@ -25,9 +25,9 @@ from usp.agent import (
     parse_target,
     serve,
 )
-from usp.auth import AuthMethod, validate_token
-from usp.harness import VirtualClock
+from usp.auth import AuthMethod, issue_token, validate_token
 from usp.errors import UspError
+from usp.harness import VirtualClock
 from usp.transport import (
     ConnectionLost,
     FaultPlan,
@@ -217,6 +217,22 @@ def test_single_use_token_rejected_on_replay():
             fixture.connect("vault", token=tokens["vault"])
     finally:
         fixture.shutdown()
+
+
+@pytest.mark.parametrize("single_use", [False, True])
+def test_config_env_validates_tokens_as_configured(single_use):
+    config = ServerConfig(
+        registrations=(ApplicationRegistration("vault", True, echo_handler),),
+        token_secret=SECRET,
+        single_use_tokens=single_use,
+    )
+    clock = VirtualClock()
+    env = config.env(clock, random.Random(0))
+    assert env.applications == {"vault": True}
+    token = issue_token("alice", "vault", 60, clock, SECRET, random.Random(1)).encode()
+    assert env.token_valid(token, "vault").identity == "alice"
+    replay = env.token_valid(token, "vault")
+    assert (replay is None) is single_use
 
 
 def test_concurrent_sessions_are_isolated(server):
@@ -741,6 +757,31 @@ def test_connection_accepted_after_shutdown_began_is_closed():
         assert handle.records() == []
     finally:
         client.close()
+
+
+def test_server_retries_accept_after_emfile(flaky_listener):
+    listener = flaky_listener(failures=3)
+    _, handle = _serve_echo_app(echo_handler, listener)
+    try:
+        stream, _ = connect(("127.0.0.1", listener.port), "echo", timeout=5)
+        stream.write(b"ping")
+        assert stream.read(10, timeout=5) == b"ping"
+        stream.close()
+        assert listener._sock.failures == 0
+        assert all(worker.is_alive() for worker in handle._workers)
+    finally:
+        handle.shutdown()
+
+
+def test_shutdown_wakes_a_worker_backing_off_from_accept(flaky_listener):
+    listener = flaky_listener(failures=10**9)
+    _, handle = _serve_echo_app(echo_handler, listener)
+    # By now the worker waits out a back-off of several hundred ms.
+    time.sleep(0.7)
+    started = time.monotonic()
+    handle.shutdown()
+    assert time.monotonic() - started < 0.5
+    assert not any(worker.is_alive() for worker in handle._workers)
 
 
 def test_serve_over_tcp(server):

@@ -231,3 +231,15 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["warble"])
     assert exc.value.code == 2
+
+
+def test_agents_do_not_import_the_test_tooling():
+    probe = (
+        "import sys, usp, usp.cli\n"
+        "assert 'usp.harness' not in sys.modules, 'harness imported eagerly'\n"
+        "assert usp.fuzz_malformed.__module__ == 'usp.harness'\n"
+        "from usp import *\n"
+        "assert run_scenario is usp.harness.run_scenario\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr.decode()

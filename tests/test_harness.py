@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from usp import harness
+from usp.agent import ApplicationRegistration, ServerConfig
 from usp.auth import AuthMethod, IdentityContext
 from usp.harness import (
     CounterexampleFound,
@@ -24,6 +26,7 @@ from usp.harness import (
     SCENARIO_NAMES,
 )
 from usp.session import ServerEnv
+from usp.wire import Initialize, StreamRequest, encode_frame
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -136,6 +139,19 @@ def test_fuzz_different_seeds_differ():
     assert (
         fuzz_malformed(seed=1, n=200).responses != fuzz_malformed(seed=2, n=200).responses
     )
+
+
+def test_fuzz_counts_handoffs_under_a_caller_config(monkeypatch):
+    # A well-formed open initialize stands in for a case the gate lets through.
+    opener = encode_frame(
+        Initialize(authentication=("psk-cr",), streams=(StreamRequest("echo"),))
+    )
+    monkeypatch.setattr(harness, "_fuzz_payload", lambda rng, mutation_class: opener)
+    config = ServerConfig(
+        registrations=(ApplicationRegistration("echo", False, lambda stream, ctx: None),),
+        token_secret=b"fuzz test token secret",
+    )
+    assert fuzz_malformed(seed=1, n=5, config=config).handoffs == 5
 
 
 def test_fuzz_rejects_nonpositive_n():

@@ -1,5 +1,6 @@
 """Transport tests: memory pairs, TCP adapters, framed channels."""
 
+import errno
 import socket
 import threading
 import time
@@ -17,6 +18,7 @@ from usp.transport import (
     MemoryListener,
     ReadTimeout,
     RecvTimeout,
+    TcpListener,
     memory_pair,
     tcp_dial,
     tcp_listen,
@@ -262,6 +264,40 @@ def test_tcp_listener_close_unblocks_accept():
     listener.close()
     thread.join(2)
     assert errors == ["closed"]
+
+
+def test_tcp_listener_accept_error_leaves_the_listener_open(flaky_listener):
+    listener = flaky_listener(failures=1)
+    with pytest.raises(OSError) as info:
+        listener.accept()
+    assert info.value.errno == errno.EMFILE
+    client = tcp_dial("127.0.0.1", listener.port)
+    server = listener.accept()
+    client.write(b"ok")
+    assert server.read(2, timeout=5) == b"ok"
+    client.close()
+    server.close()
+
+
+def test_tcp_listener_closes_a_socket_it_cannot_configure():
+    class Conn:
+        closed = False
+
+        def setsockopt(self, *args):
+            raise OSError(errno.EINVAL, "Invalid argument")
+
+        def close(self):
+            self.closed = True
+
+    conn = Conn()
+
+    class Sock:
+        def accept(self):
+            return conn, ("127.0.0.1", 1)
+
+    with pytest.raises(OSError):
+        TcpListener(Sock()).accept()
+    assert conn.closed
 
 
 # --- framed channel ---
