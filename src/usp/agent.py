@@ -48,11 +48,8 @@ from .auth import (
     Clock,
     IdentityContext,
     NonceCache,
-    TokenError,
-    decode_token,
     make_registry,
     psk_protocol,
-    validate_token,
 )
 from .errors import UspError
 from .session import (
@@ -64,7 +61,6 @@ from .session import (
     AuthInProgress,
     AuthStepResult,
     AwaitToken,
-    BeginAuth,
     ClientAuthInProgress,
     ClientEnv,
     CloseCause,
@@ -180,6 +176,10 @@ class ServerConfig:
             seen.add(reg.application)
         if any(r.requires_auth for r in self.registrations) and not self.supported_auth:
             raise ValueError("authentication required but no protocols supported")
+        if self.token_ttl <= 0:
+            raise ValueError(f"token_ttl must be positive, not {self.token_ttl}")
+        if not self.handshake_timeout > 0:  # NaN too: it would never expire
+            raise ValueError(f"handshake_timeout must be positive, not {self.handshake_timeout}")
 
     def handlers(self) -> dict[str, Handler]:
         return {r.application: r.handler for r in self.registrations}
@@ -192,17 +192,6 @@ class ServerConfig:
 
         With ``single_use_tokens`` each call gets its own nonce cache.
         """
-        validator = None
-        if self.single_use_tokens:
-            cache = NonceCache()
-            secret = self.token_secret
-
-            def validator(token: str, application: str) -> IdentityContext:
-                ctx = validate_token(token, application, clock, secret)
-                if not cache.first_use(decode_token(token).nonce):
-                    raise TokenError("token already used")
-                return ctx
-
         return ServerEnv(
             applications=self.auth_map(),
             supported_auth=self.supported_auth,
@@ -211,7 +200,7 @@ class ServerConfig:
             rng=rng,
             token_ttl=self.token_ttl,
             lenient_coexistence=self.lenient_coexistence,
-            token_validator=validator,
+            nonce_cache=NonceCache() if self.single_use_tokens else None,
         )
 
 
@@ -350,7 +339,7 @@ def _drive(
                     lost_in, state = state, Closed(CloseCause.CONNECTION_LOST, "connection lost")
                     break
                 trace.append(TraceEntry(outbound, message_name(action.message)))
-            elif isinstance(action, BeginAuth):
+            else:
                 live_handle = begin_auth(action.protocol)
                 if live_handle is None:
                     first = AuthStep(
@@ -637,6 +626,14 @@ def _reject_unknown_keys(obj: dict, known: frozenset, where: str) -> None:
         raise ValueError(f"unknown key in {where}: {unknown[0]!r}")
 
 
+def _flag(obj: dict, key: str) -> bool:
+    # bool("false") is True: a quoted flag must not switch a feature on.
+    value = obj.get(key, False)
+    if not isinstance(value, bool):
+        raise ValueError(f"{key} must be true or false, not {value!r}")
+    return value
+
+
 def load_server_config(path: str | Path, handler: Handler = echo_handler) -> ServerConfig:
     """Build a ServerConfig from a JSON file.
 
@@ -644,7 +641,8 @@ def load_server_config(path: str | Path, handler: Handler = echo_handler) -> Ser
     by default); real deployments register handlers in code. A relative
     ``psk_store`` path is resolved against the config file's directory.
     A key the loader does not know, at the top level or in an application
-    entry, is an error rather than silently ignored.
+    entry, is an error rather than silently ignored, and so is a flag that
+    is not a JSON true or false.
     """
     path = Path(path)
     data = json.loads(path.read_text(encoding="utf-8"))
@@ -662,7 +660,7 @@ def load_server_config(path: str | Path, handler: Handler = echo_handler) -> Ser
         registrations.append(
             ApplicationRegistration(
                 application=entry["application"],
-                requires_auth=bool(entry.get("requires_auth", False)),
+                requires_auth=_flag(entry, "requires_auth"),
                 handler=handler,
             )
         )
@@ -684,8 +682,8 @@ def load_server_config(path: str | Path, handler: Handler = echo_handler) -> Ser
         psk_secrets=psk_secrets,
         token_ttl=int(data.get("token_ttl", DEFAULT_TOKEN_TTL)),
         handshake_timeout=float(data.get("handshake_timeout", DEFAULT_HANDSHAKE_TIMEOUT)),
-        lenient_coexistence=bool(data.get("lenient_coexistence", False)),
-        single_use_tokens=bool(data.get("single_use_tokens", False)),
+        lenient_coexistence=_flag(data, "lenient_coexistence"),
+        single_use_tokens=_flag(data, "single_use_tokens"),
     )
 
 

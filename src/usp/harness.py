@@ -54,7 +54,6 @@ from .session import (
     FrameMalformed,
     FrameReceived,
     HandedOff,
-    Handoff,
     HandshakeTimeout,
     ServerEnv,
     SessionEvent,
@@ -693,38 +692,38 @@ def build_event_alphabet(secret: bytes, now: float) -> list[SessionEvent]:
 
 def _check_gate(
     event: SessionEvent,
-    actions: Sequence,
+    new_state: object,
     applications: Mapping[str, bool],
     secret: bytes,
     now: float,
 ) -> str | None:
-    """Independent handoff-gate oracle: re-derives policy and re-validates tokens."""
-    for action in actions:
-        if not isinstance(action, Handoff):
-            continue
-        ctx = action.context
-        if not isinstance(event, FrameReceived) or not isinstance(event.message, Initialize):
-            return "handoff not triggered by an initialize"
-        entry = next(
-            (s for s in event.message.streams if s.application == ctx.application), None
+    """Independent handoff-gate oracle: re-derives policy and re-validates tokens.
+
+    It checks the phase the step entered, which is what a driver acts on.
+    """
+    if not isinstance(new_state, HandedOff):
+        return None
+    ctx = new_state.context
+    if not isinstance(event, FrameReceived) or not isinstance(event.message, Initialize):
+        return "handoff not triggered by an initialize"
+    entry = next((s for s in event.message.streams if s.application == ctx.application), None)
+    if entry is None:
+        return f"handoff for unrequested application {ctx.application!r}"
+    if ctx.application not in applications:
+        return f"handoff for unhosted application {ctx.application!r}"
+    if not applications[ctx.application]:
+        return None  # no authentication required: anonymous handoff is legal
+    if entry.token is None:
+        return "handoff for auth-required application without a token"
+    try:
+        proven = validate_token(entry.token, ctx.application, lambda: now, secret)
+    except Exception as exc:
+        return f"handoff on invalid token ({exc})"
+    if proven.identity != ctx.identity:
+        return (
+            f"handoff identity {ctx.identity!r} differs from token identity "
+            f"{proven.identity!r}"
         )
-        if entry is None:
-            return f"handoff for unrequested application {ctx.application!r}"
-        if ctx.application not in applications:
-            return f"handoff for unhosted application {ctx.application!r}"
-        if not applications[ctx.application]:
-            continue  # no authentication required: anonymous handoff is legal
-        if entry.token is None:
-            return "handoff for auth-required application without a token"
-        try:
-            proven = validate_token(entry.token, ctx.application, lambda: now, secret)
-        except Exception as exc:
-            return f"handoff on invalid token ({exc})"
-        if proven.identity != ctx.identity:
-            return (
-                f"handoff identity {ctx.identity!r} differs from token identity "
-                f"{proven.identity!r}"
-            )
     return None
 
 
@@ -770,12 +769,12 @@ def enumerate_machine(
             if isinstance(state, (HandedOff, Closed)):
                 continue
             for event in alphabet:
-                new_state, actions = server_step(state, event, env)
+                new_state, _ = server_step(state, event, env)
                 transitions += 1
-                problem = _check_gate(event, actions, applications, oracle_secret, now)
+                problem = _check_gate(event, new_state, applications, oracle_secret, now)
                 if problem is not None:
                     raise CounterexampleFound(problem, path + (event,))
-                if any(isinstance(a, Handoff) for a in actions):
+                if isinstance(new_state, HandedOff):
                     handoffs += 1
                 if isinstance(new_state, Closed):
                     causes.add(new_state.cause.value)

@@ -1,12 +1,12 @@
 """Pure client and server session state machines.
 
 Each machine is a step function from (state, event, env) to
-(state, ordered actions). It performs no I/O: frames to transmit, auth
-rounds to begin, the application handoff, and session teardown are all
-expressed as actions for a driver to execute. The server machine encodes
-the gate this whole protocol exists for: a Handoff action is emitted only
-when the requested application needs no authentication or the presented
-token validates.
+(state, ordered actions). It performs no I/O: actions are the frames to
+transmit and the auth runs to begin, for a driver to execute, and the
+phase alone says how the session ended (HandedOff, Connected or Closed).
+The server machine encodes the gate this whole protocol exists for: the
+machine enters HandedOff only when the requested application needs no
+authentication or the presented token validates.
 
 The server evaluates its predicates in a fixed order for every initialize:
 hosted, requires-auth, token-valid, negotiate. Environments expose those
@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from . import auth as auth_mod
 from .auth import (
@@ -28,6 +28,7 @@ from .auth import (
     AuthStep,
     Clock,
     IdentityContext,
+    NonceCache,
     TokenError,
     anonymous_context,
     negotiate,
@@ -114,18 +115,7 @@ class BeginAuth:
     protocol: str
 
 
-@dataclass(frozen=True)
-class Handoff:
-    context: IdentityContext
-
-
-@dataclass(frozen=True)
-class Close:
-    cause: CloseCause
-    detail: str | None = None
-
-
-SessionAction = Union[Send, BeginAuth, Handoff, Close]
+SessionAction = Union[Send, BeginAuth]
 
 
 # --- server machine ---
@@ -169,9 +159,8 @@ class ServerEnv:
     """Server-side policy and capabilities consulted by the machine.
 
     ``applications`` maps each hosted application name to whether it
-    requires authentication. ``token_validator`` may replace the default
-    signature check, e.g. to add a single-use nonce cache; it must return
-    an IdentityContext or raise TokenError.
+    requires authentication. With a ``nonce_cache`` a token is accepted
+    only on the first use of its nonce (single-use tokens).
     """
 
     applications: Mapping[str, bool]
@@ -181,7 +170,7 @@ class ServerEnv:
     rng: random.Random
     token_ttl: int = DEFAULT_TOKEN_TTL
     lenient_coexistence: bool = False
-    token_validator: Callable[[str, str], IdentityContext] | None = None
+    nonce_cache: NonceCache | None = None
 
     def application_hosted(self, name: str) -> bool:
         return name in self.applications
@@ -193,9 +182,12 @@ class ServerEnv:
         if token is None:
             return None
         try:
-            if self.token_validator is not None:
-                return self.token_validator(token, application)
-            return auth_mod.validate_token(token, application, self.clock, self.token_secret)
+            ctx = auth_mod.validate_token(token, application, self.clock, self.token_secret)
+            if self.nonce_cache is not None and not self.nonce_cache.first_use(
+                auth_mod.decode_token(token).nonce
+            ):
+                return None
+            return ctx
         except TokenError:
             return None
 
@@ -212,12 +204,14 @@ def initial_server_state() -> ServerPhase:
     return AwaitInitialize()
 
 
+def _refuse(cause: CloseCause, text: str) -> tuple[Closed, list[SessionAction]]:
+    """Close with ``cause``, telling the peer why in an error frame."""
+    return Closed(cause, text), [Send(Error(text))]
+
+
 def _violation(state: object, event_name: str) -> tuple[Closed, list[SessionAction]]:
     text = f"protocol violation: unexpected {event_name} in {type(state).__name__}"
-    return (
-        Closed(CloseCause.PROTOCOL_VIOLATION, text),
-        [Send(Error(text)), Close(CloseCause.PROTOCOL_VIOLATION, text)],
-    )
+    return _refuse(CloseCause.PROTOCOL_VIOLATION, text)
 
 
 def _server_initialize(
@@ -228,11 +222,7 @@ def _server_initialize(
     # Predicate order is fixed: hosted, requires-auth, token-valid, negotiate.
     for entry in msg.streams:
         if not env.application_hosted(entry.application):
-            text = f"{NOT_HOSTED_TEXT}: {entry.application}"
-            return (
-                Closed(CloseCause.NOT_HOSTED, text),
-                [Send(Error(text)), Close(CloseCause.NOT_HOSTED, text)],
-            )
+            return _refuse(CloseCause.NOT_HOSTED, f"{NOT_HOSTED_TEXT}: {entry.application}")
 
     contexts: list[IdentityContext] = []
     for entry in msg.streams:
@@ -244,11 +234,7 @@ def _server_initialize(
         if ctx is None:
             proto = env.negotiate_auth_protocol(msg.authentication)
             if proto is None:
-                text = NO_SHARED_PROTOCOL_TEXT
-                return (
-                    Closed(CloseCause.NO_SHARED_PROTOCOL, text),
-                    [Send(Error(text)), Close(CloseCause.NO_SHARED_PROTOCOL, text)],
-                )
+                return _refuse(CloseCause.NO_SHARED_PROTOCOL, NO_SHARED_PROTOCOL_TEXT)
             return (
                 AuthInProgress(protocol=proto, streams=msg.streams),
                 [Send(Authenticate(protocol=proto)), BeginAuth(proto)],
@@ -266,10 +252,7 @@ def _server_initialize(
         contexts.append(ctx)
 
     first = contexts[0]
-    return (
-        HandedOff(first),
-        [Send(Connect(application=first.application)), Handoff(first)],
-    )
+    return HandedOff(first), [Send(Connect(application=first.application))]
 
 
 def server_step(
@@ -284,7 +267,7 @@ def server_step(
         raise SessionError(f"step on terminal state {type(state).__name__}")
 
     if isinstance(event, HandshakeTimeout):
-        return Closed(CloseCause.TIMEOUT), [Close(CloseCause.TIMEOUT)]
+        return Closed(CloseCause.TIMEOUT), []
 
     if isinstance(event, FrameMalformed):
         # Two malformed classes close without a reply: an oversize length
@@ -295,22 +278,12 @@ def server_step(
             env.lenient_coexistence and isinstance(state, AwaitInitialize)
         )
         if quiet:
-            return (
-                Closed(CloseCause.MALFORMED, event.kind.value),
-                [Close(CloseCause.MALFORMED, event.kind.value)],
-            )
-        text = f"malformed message: {event.kind.value}"
-        return (
-            Closed(CloseCause.MALFORMED, text),
-            [Send(Error(text)), Close(CloseCause.MALFORMED, text)],
-        )
+            return Closed(CloseCause.MALFORMED, event.kind.value), []
+        return _refuse(CloseCause.MALFORMED, f"malformed message: {event.kind.value}")
 
     if isinstance(event, FrameReceived) and isinstance(event.message, Error):
         # Never answer an error with an error.
-        return (
-            Closed(CloseCause.REMOTE_ERROR, event.message.error),
-            [Close(CloseCause.REMOTE_ERROR, event.message.error)],
-        )
+        return Closed(CloseCause.REMOTE_ERROR, event.message.error), []
 
     if isinstance(state, AwaitInitialize):
         if isinstance(event, FrameReceived) and isinstance(event.message, Initialize):
@@ -338,7 +311,6 @@ def _server_auth_step(
         return state, actions
     if step.status is AuthStatus.FAIL:
         # Failure is reported by each side's authenticator; no error frame.
-        actions.append(Close(CloseCause.AUTH_FAILED, step.reason))
         return Closed(CloseCause.AUTH_FAILED, step.reason), actions
     # Success: issue one token per requested stream, then await the
     # re-initialize that presents them.
@@ -412,25 +384,15 @@ def client_step(
         raise SessionError(f"step on terminal state {type(state).__name__}")
 
     if isinstance(event, HandshakeTimeout):
-        return Closed(CloseCause.TIMEOUT), [Close(CloseCause.TIMEOUT)]
+        return Closed(CloseCause.TIMEOUT), []
 
     if isinstance(event, FrameMalformed):
         if event.kind is MalformedKind.OVERSIZE:
-            return (
-                Closed(CloseCause.MALFORMED, event.kind.value),
-                [Close(CloseCause.MALFORMED, event.kind.value)],
-            )
-        text = f"malformed message: {event.kind.value}"
-        return (
-            Closed(CloseCause.MALFORMED, text),
-            [Send(Error(text)), Close(CloseCause.MALFORMED, text)],
-        )
+            return Closed(CloseCause.MALFORMED, event.kind.value), []
+        return _refuse(CloseCause.MALFORMED, f"malformed message: {event.kind.value}")
 
     if isinstance(event, FrameReceived) and isinstance(event.message, Error):
-        return (
-            Closed(CloseCause.REMOTE_ERROR, event.message.error),
-            [Close(CloseCause.REMOTE_ERROR, event.message.error)],
-        )
+        return Closed(CloseCause.REMOTE_ERROR, event.message.error), []
 
     if isinstance(state, SendInitialize):
         if isinstance(event, Start):
@@ -446,10 +408,7 @@ def client_step(
             proto = event.message.protocol
             if proto not in env.offered:
                 text = f"server selected unoffered protocol: {proto}"
-                return (
-                    Closed(CloseCause.PROTOCOL_VIOLATION, text),
-                    [Close(CloseCause.PROTOCOL_VIOLATION, text)],
-                )
+                return Closed(CloseCause.PROTOCOL_VIOLATION, text), []
             return ClientAuthInProgress(protocol=proto), [BeginAuth(proto)]
         return _violation(state, _event_name(event))
 
@@ -461,10 +420,7 @@ def client_step(
     # AwaitToken
     if isinstance(event, FrameReceived) and isinstance(event.message, Token):
         if env.stop_after_token:
-            return (
-                Closed(CloseCause.TOKEN_ACQUIRED),
-                [Close(CloseCause.TOKEN_ACQUIRED)],
-            )
+            return Closed(CloseCause.TOKEN_ACQUIRED), []
         msg = Initialize(authentication=env.offered, streams=event.message.streams)
         return (
             AwaitResponse(
@@ -501,7 +457,7 @@ def _client_connect(
         )
     else:
         ctx = anonymous_context(msg.application, env.clock)
-    return Connected(ctx), [Handoff(ctx)]
+    return Connected(ctx), []
 
 
 def _client_auth_step(
@@ -513,7 +469,6 @@ def _client_auth_step(
     if step.status is AuthStatus.PENDING:
         return state, actions
     if step.status is AuthStatus.FAIL:
-        actions.append(Close(CloseCause.AUTH_FAILED, step.reason))
         return Closed(CloseCause.AUTH_FAILED, step.reason), actions
     return AwaitToken(protocol=state.protocol, identity=step.identity or ""), actions
 

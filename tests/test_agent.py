@@ -844,6 +844,28 @@ def test_server_config_requires_protocols_for_auth_apps():
         )
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"token_ttl": 0},
+        {"token_ttl": -5},
+        {"handshake_timeout": 0},
+        {"handshake_timeout": -1.0},
+        {"handshake_timeout": float("nan")},
+    ],
+)
+def test_server_config_rejects_nonpositive_durations(bad):
+    # A zero ttl fails every token issue, so every psk run would end in
+    # internal_error; a zero timeout expires every handshake at once, and
+    # a NaN one never expires, so a silent peer would hold its worker.
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        ServerConfig(
+            registrations=(ApplicationRegistration("vault", True, echo_handler),),
+            token_secret=SECRET,
+            **bad,
+        )
+
+
 def test_serve_rejects_unimplemented_protocols():
     config = ServerConfig(
         registrations=(ApplicationRegistration("vault", True, echo_handler),),
@@ -921,6 +943,25 @@ def test_load_server_config_rejects_unknown_keys(tmp_path, data, unknown):
     config_path = tmp_path / "server.json"
     config_path.write_text(json.dumps(data))
     with pytest.raises(ValueError, match=unknown):
+        load_server_config(config_path)
+
+
+@pytest.mark.parametrize(
+    "data, flag",
+    [
+        ({"applications": [{"application": "echo", "requires_auth": "true"}]}, "requires_auth"),
+        (
+            {"applications": [{"application": "echo"}], "lenient_coexistence": "false"},
+            "lenient_coexistence",
+        ),
+        ({"applications": [{"application": "echo"}], "single_use_tokens": 1}, "single_use_tokens"),
+    ],
+)
+def test_load_server_config_requires_boolean_flags(tmp_path, data, flag):
+    # bool("false") is True: a quoted flag must be refused, not read as on.
+    config_path = tmp_path / "server.json"
+    config_path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=flag):
         load_server_config(config_path)
 
 

@@ -25,8 +25,15 @@ from usp.harness import (
     run_scenario,
     SCENARIO_NAMES,
 )
-from usp.session import ServerEnv
-from usp.wire import Initialize, StreamRequest, encode_frame
+from usp.session import (
+    AwaitInitialize,
+    FrameReceived,
+    HandedOff,
+    Send,
+    ServerEnv,
+    server_step,
+)
+from usp.wire import Connect, Initialize, StreamRequest, encode_frame
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -231,6 +238,30 @@ def test_enumeration_catches_gate_mutants(mutant):
     with pytest.raises(CounterexampleFound) as exc:
         enumerate_machine(8, env=env)
     assert exc.value.path  # the offending event sequence is reported
+
+
+def _hand_off_any_token(state, event, env):
+    """Deliberate mutant: a hosted first stream with any token is handed off.
+
+    It enters HandedOff without emitting anything but the connect frame,
+    so only an oracle that reads the phase can see it.
+    """
+    if (
+        isinstance(state, AwaitInitialize)
+        and isinstance(event, FrameReceived)
+        and isinstance(event.message, Initialize)
+    ):
+        first = event.message.streams[0]
+        if env.application_hosted(first.application) and first.token is not None:
+            ctx = IdentityContext("whoever", first.application, AuthMethod.TOKEN, env.clock())
+            return HandedOff(ctx), [Send(Connect(first.application))]
+    return server_step(state, event, env)
+
+
+def test_enumeration_checks_the_phase_not_the_actions(monkeypatch):
+    monkeypatch.setattr(harness, "server_step", _hand_off_any_token)
+    with pytest.raises(CounterexampleFound, match="'whoever' differs from token identity"):
+        enumerate_machine(8)
 
 
 def test_alphabet_covers_every_message_class():

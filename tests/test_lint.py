@@ -1,0 +1,55 @@
+"""Static checks on the package source, with the stdlib ``ast`` only."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "usp"
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports but never reads and does not re-export.
+
+    A name counts as read when it appears as a ``Name`` node anywhere,
+    which includes the base of an attribute (``auth_mod.validate_token``)
+    and annotations. Names listed in ``__all__`` are re-exports.
+    """
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    exported: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported.update(ast.literal_eval(node.value))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [
+        f"line {line}: {name}"
+        for name, line in sorted(imported.items(), key=lambda item: item[1])
+        if name not in read and name not in exported
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_unused_import_check_sees_a_dead_name():
+    source = (
+        "from typing import Callable, Mapping\n"
+        "import json\n"
+        "from .auth import issue_token\n"
+        "__all__ = ['issue_token']\n"
+        "def f(m: Mapping) -> None:\n"
+        "    json.dumps(m)\n"
+    )
+    assert unused_imports(source) == ["line 1: Callable"]

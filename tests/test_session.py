@@ -21,14 +21,12 @@ from usp.session import (
     BeginAuth,
     ClientAuthInProgress,
     ClientEnv,
-    Close,
     CloseCause,
     Closed,
     Connected,
     FrameMalformed,
     FrameReceived,
     HandedOff,
-    Handoff,
     HandshakeTimeout,
     NO_SHARED_PROTOCOL_TEXT,
     Send,
@@ -91,9 +89,8 @@ def test_unauthenticated_direct():
     env = make_env()
     state, actions = server_step(initial_server_state(), init_msg("echo"), env)
     assert isinstance(state, HandedOff)
-    assert [type(a) for a in actions] == [Send, Handoff]
-    assert actions[0].message == Connect(application="echo")
-    ctx = actions[1].context
+    assert actions == [Send(Connect(application="echo"))]
+    ctx = state.context
     assert ctx.identity == "anonymous"
     assert ctx.method is AuthMethod.NONE_REQUIRED
 
@@ -163,19 +160,19 @@ def test_auth_failure_closes_without_error_frame():
     step = AuthStep(status=AuthStatus.FAIL, reason="bad response")
     new_state, actions = server_step(state, AuthStepResult(step), env)
     assert isinstance(new_state, Closed) and new_state.cause is CloseCause.AUTH_FAILED
-    assert sends(actions) == []
-    assert actions == [Close(CloseCause.AUTH_FAILED, "bad response")]
+    assert actions == []
+    assert new_state.detail == "bad response"
 
 
 def test_reinitialize_with_issued_token_hands_off_with_protocol_method():
     env = make_env()
     state = AwaitReinitialize(identity="alice", protocol="psk-cr")
     token = good_token()
-    new_state, actions = server_step(
+    new_state, _ = server_step(
         state, init_msg("vault", offered=(), token=token), env
     )
     assert isinstance(new_state, HandedOff)
-    ctx = actions[-1].context
+    ctx = new_state.context
     assert ctx.identity == "alice"
     assert ctx.method is AuthMethod.PROTOCOL
     assert ctx.protocol == "psk-cr"
@@ -183,11 +180,11 @@ def test_reinitialize_with_issued_token_hands_off_with_protocol_method():
 
 def test_fresh_session_token_hands_off_with_token_method():
     env = make_env()
-    new_state, actions = server_step(
+    new_state, _ = server_step(
         initial_server_state(), init_msg("vault", offered=(), token=good_token()), env
     )
     assert isinstance(new_state, HandedOff)
-    ctx = actions[-1].context
+    ctx = new_state.context
     assert ctx.identity == "alice"
     assert ctx.method is AuthMethod.TOKEN
 
@@ -209,12 +206,12 @@ def test_invalid_token_falls_back_to_negotiation(token):
 
 
 def test_token_for_open_application_is_ignored():
-    state, actions = server_step(
+    state, _ = server_step(
         initial_server_state(), init_msg("echo", token=good_token(app="echo")), make_env()
     )
     assert isinstance(state, HandedOff)
-    assert actions[-1].context.identity == "anonymous"
-    assert actions[-1].context.method is AuthMethod.NONE_REQUIRED
+    assert state.context.identity == "anonymous"
+    assert state.context.method is AuthMethod.NONE_REQUIRED
 
 
 def test_multi_stream_connects_first_entry():
@@ -228,7 +225,7 @@ def test_multi_stream_connects_first_entry():
     state, actions = server_step(initial_server_state(), msg, env)
     assert isinstance(state, HandedOff)
     assert actions[0].message == Connect(application="echo")
-    assert actions[1].context.application == "echo"
+    assert state.context.application == "echo"
 
 
 def test_multi_stream_any_unhosted_entry_fails_all():
@@ -409,7 +406,8 @@ def test_client_direct_accept():
     state, _ = client_step(initial_client_state(), Start(), env)
     state, actions = client_step(state, FrameReceived(Connect(application="echo")), env)
     assert isinstance(state, Connected)
-    ctx = actions[-1].context
+    assert actions == []
+    ctx = state.context
     assert ctx.method is AuthMethod.NONE_REQUIRED
     assert ctx.identity == "anonymous"
 
