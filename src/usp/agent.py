@@ -319,7 +319,7 @@ def _drive(
 
         state, actions = step(state, event, env)
 
-        if isinstance(state, HandedOff) and chan.peek_pending():
+        if isinstance(state, HandedOff) and stream.pending():
             # Bytes arrived before the connect confirmation went out: the
             # application must never see them, so the session dies here.
             text = "protocol violation: application data before connect"
@@ -626,12 +626,17 @@ def _reject_unknown_keys(obj: dict, known: frozenset, where: str) -> None:
         raise ValueError(f"unknown key in {where}: {unknown[0]!r}")
 
 
-def _flag(obj: dict, key: str) -> bool:
-    # bool("false") is True: a quoted flag must not switch a feature on.
-    value = obj.get(key, False)
-    if not isinstance(value, bool):
-        raise ValueError(f"{key} must be true or false, not {value!r}")
+def _typed(obj: dict, key: str, kinds: tuple[type, ...], what: str, default=None):
+    # Exact types and no conversion: bool("false") is True, int(1.5) is 1,
+    # and bool subclasses int, but a JSON true is no number.
+    value = obj.get(key, default)
+    if key in obj and type(value) not in kinds:
+        raise ValueError(f"{key} must be {what}, not {value!r}")
     return value
+
+
+def _flag(obj: dict, key: str) -> bool:
+    return _typed(obj, key, (bool,), "true or false", False)
 
 
 def load_server_config(path: str | Path, handler: Handler = echo_handler) -> ServerConfig:
@@ -641,8 +646,8 @@ def load_server_config(path: str | Path, handler: Handler = echo_handler) -> Ser
     by default); real deployments register handlers in code. A relative
     ``psk_store`` path is resolved against the config file's directory.
     A key the loader does not know, at the top level or in an application
-    entry, is an error rather than silently ignored, and so is a flag that
-    is not a JSON true or false.
+    entry, is an error rather than silently ignored, and so is a value of
+    the wrong JSON type, such as a quoted flag or a fractional token_ttl.
     """
     path = Path(path)
     data = json.loads(path.read_text(encoding="utf-8"))
@@ -656,16 +661,17 @@ def load_server_config(path: str | Path, handler: Handler = echo_handler) -> Ser
     for entry in apps:
         if not isinstance(entry, dict) or "application" not in entry:
             raise ValueError("each application entry needs an application name")
-        _reject_unknown_keys(entry, _APPLICATION_KEYS, f"application {entry['application']!r}")
+        name = _typed(entry, "application", (str,), "a string")
+        _reject_unknown_keys(entry, _APPLICATION_KEYS, f"application {name!r}")
         registrations.append(
             ApplicationRegistration(
-                application=entry["application"],
+                application=name,
                 requires_auth=_flag(entry, "requires_auth"),
                 handler=handler,
             )
         )
     psk_secrets: dict[str, bytes] = {}
-    store = data.get("psk_store")
+    store = _typed(data, "psk_store", (str,), "a string")
     if store is not None:
         from .auth import load_psk_store
 
@@ -673,15 +679,20 @@ def load_server_config(path: str | Path, handler: Handler = echo_handler) -> Ser
         if not store_path.is_absolute():
             store_path = path.parent / store_path
         psk_secrets = load_psk_store(store_path)
-    secret_hex = data.get("token_secret_hex")
+    secret_hex = _typed(data, "token_secret_hex", (str,), "a string")
     token_secret = bytes.fromhex(secret_hex) if secret_hex else secrets.token_bytes(32)
+    supported_auth = data.get("supported_auth", [PSK_PROTOCOL_NAME])
+    if type(supported_auth) is not list or any(type(p) is not str for p in supported_auth):
+        raise ValueError(f"supported_auth must be an array of strings, not {supported_auth!r}")
     return ServerConfig(
         registrations=tuple(registrations),
         token_secret=token_secret,
-        supported_auth=tuple(data.get("supported_auth", (PSK_PROTOCOL_NAME,))),
+        supported_auth=tuple(supported_auth),
         psk_secrets=psk_secrets,
-        token_ttl=int(data.get("token_ttl", DEFAULT_TOKEN_TTL)),
-        handshake_timeout=float(data.get("handshake_timeout", DEFAULT_HANDSHAKE_TIMEOUT)),
+        token_ttl=_typed(data, "token_ttl", (int,), "an integer", DEFAULT_TOKEN_TTL),
+        handshake_timeout=float(
+            _typed(data, "handshake_timeout", (int, float), "a number", DEFAULT_HANDSHAKE_TIMEOUT)
+        ),
         lenient_coexistence=_flag(data, "lenient_coexistence"),
         single_use_tokens=_flag(data, "single_use_tokens"),
     )

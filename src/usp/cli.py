@@ -93,7 +93,12 @@ def _cmd_serve(args) -> int:
     except (BindError, ValueError) as exc:
         print(f"bind error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    handle = serve(listener, config, log=sys.stdout)
+    try:
+        handle = serve(listener, config, log=sys.stdout)
+    except ValueError as exc:  # a supported_auth protocol with no implementation
+        listener.close()
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     apps = ", ".join(r.application for r in config.registrations)
     print(f"serving [{apps}] on {args.bind}", file=sys.stderr)
     try:

@@ -63,8 +63,8 @@ from .session import (
 )
 from .transport import (
     ConnectionLost,
+    FrameChannel,
     MemoryListener,
-    ReadTimeout,
     memory_pair,
     tcp_dial,
     tcp_listen,
@@ -75,7 +75,6 @@ from .wire import (
     Authenticate,
     Connect,
     Error,
-    FrameDecoder,
     Initialize,
     MalformedKind,
     MalformedMessage,
@@ -600,6 +599,8 @@ def fuzz_malformed(seed: int, n: int, config: ServerConfig | None = None) -> Fuz
             crashes += 1
         else:
             handoffs += record.outcome == "handed_off"
+        finally:
+            server.close()
         responses[_classify_response(client)] += 1
         client.close()
     return FuzzReport(
@@ -608,22 +609,17 @@ def fuzz_malformed(seed: int, n: int, config: ServerConfig | None = None) -> Fuz
 
 
 def _classify_response(client) -> str:
-    decoder = FrameDecoder()
-    while True:
-        try:
-            data = client.read(4096, timeout=0)
-        except (ReadTimeout, ConnectionLost):
-            # A server that closes with our payload unread makes the
-            # socketpair report a reset after its reply: the reply ends.
-            break
-        if not data:
-            break
-        decoder.feed(data)
+    """Read the server's reply; the server end must already be closed."""
+    chan = FrameChannel(client)
     try:
-        names = [message_name(m) for m in decoder.frames()]
-    except MalformedMessage:
-        names = []
-    return "error-frame" if "error" in names else "silent-close"
+        while (msg := chan.recv()) is not None:
+            if isinstance(msg, Error):
+                return "error-frame"
+    except (ConnectionLost, MalformedMessage):
+        # A server that closes with our payload unread makes the
+        # socketpair report a reset after its reply: the reply ends.
+        pass
+    return "silent-close"
 
 
 # --- exhaustive machine enumeration ---

@@ -17,8 +17,10 @@ with a timeout first waits for input in poll(); a write never touches the
 timeout. No call switches the socket's mode, so a read and a concurrent
 write cannot undo each other's settings.
 
-FrameChannel binds the wire format to a stream: one send() per message,
-one recv() per decoded frame regardless of how the bytes were chunked.
+FrameChannel, the package's one frame reader, binds the wire format to a
+stream: one send() per message, one recv() per frame however the bytes
+were chunked. recv() reads no byte past its frame, so the early-data
+gate, a pending() peek at handoff, sees all a client sent too early.
 """
 
 from __future__ import annotations
@@ -31,16 +33,7 @@ import time
 from dataclasses import dataclass
 
 from .errors import UspError
-from .wire import (
-    HEADER_SIZE,
-    MAX_FRAME_BYTES,
-    MalformedKind,
-    MalformedMessage,
-    Message,
-    _HEADER,
-    decode_frame,
-    encode_frame,
-)
+from .wire import HEADER_SIZE, Message, decode_frame, encode_frame, frame_length
 
 DEFAULT_POLL_INTERVAL = 0.02
 
@@ -358,10 +351,7 @@ class FrameChannel:
         header = self._read_exact(HEADER_SIZE, deadline, clock, eof_ok=True)
         if header is None:
             return None
-        (length,) = _HEADER.unpack(header)
-        if length > MAX_FRAME_BYTES:
-            raise MalformedMessage(MalformedKind.OVERSIZE, f"declared length {length}")
-        body = self._read_exact(length, deadline, clock, eof_ok=False)
+        body = self._read_exact(frame_length(header), deadline, clock, eof_ok=False)
         assert body is not None
         return decode_frame(header + body)
 
@@ -388,7 +378,3 @@ class FrameChannel:
             # chunk, so plain concatenation is cheaper than a bytearray.
             buf += chunk
         return buf
-
-    def peek_pending(self) -> bool:
-        """True when bytes are already waiting beyond the last frame read."""
-        return self.stream.pending()

@@ -22,7 +22,7 @@ import re
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterator, Union
+from typing import Any, Union
 
 from .errors import UspError
 
@@ -218,6 +218,18 @@ def encode_frame(msg: Message) -> bytes:
     return _HEADER.pack(len(payload)) + payload
 
 
+def frame_length(header: bytes) -> int:
+    """The payload length declared by the frame header that ``header`` starts with.
+
+    Raises MalformedMessage(OVERSIZE) above MAX_FRAME_BYTES, so a reader
+    can refuse a frame before it buffers the body.
+    """
+    (length,) = _HEADER.unpack_from(header)
+    if length > MAX_FRAME_BYTES:
+        raise MalformedMessage(MalformedKind.OVERSIZE, f"declared length {length}")
+    return length
+
+
 def decode_frame(data: bytes) -> Message:
     """Decode exactly one complete frame.
 
@@ -226,9 +238,7 @@ def decode_frame(data: bytes) -> Message:
     """
     if len(data) < HEADER_SIZE:
         raise MalformedMessage(MalformedKind.TRUNCATED, "incomplete length prefix")
-    (length,) = _HEADER.unpack_from(data)
-    if length > MAX_FRAME_BYTES:
-        raise MalformedMessage(MalformedKind.OVERSIZE, f"declared length {length}")
+    length = frame_length(data)
     body = data[HEADER_SIZE:]
     if len(body) < length:
         raise MalformedMessage(
@@ -350,42 +360,3 @@ def validate_structure(value: Any) -> Message:
         return AuthData(payload=payload)
     except ValueError as exc:
         raise MalformedMessage(MalformedKind.SCHEMA_VIOLATION, f"{name}: {exc}") from None
-
-
-class FrameDecoder:
-    """Incremental frame parser; feed bytes in arbitrary chunks.
-
-    The header is checked as soon as it is complete, so a frame declaring
-    more than MAX_FRAME_BYTES is rejected before its body is buffered.
-    """
-
-    def __init__(self) -> None:
-        self._buf = bytearray()
-
-    def feed(self, data: bytes) -> None:
-        self._buf.extend(data)
-
-    @property
-    def buffered(self) -> int:
-        return len(self._buf)
-
-    def next_frame(self) -> Message | None:
-        """Return the next complete message, or None if more bytes are needed."""
-        if len(self._buf) < HEADER_SIZE:
-            return None
-        (length,) = _HEADER.unpack(self._buf[:HEADER_SIZE])
-        if length > MAX_FRAME_BYTES:
-            raise MalformedMessage(MalformedKind.OVERSIZE, f"declared length {length}")
-        if len(self._buf) < HEADER_SIZE + length:
-            return None
-        frame = bytes(self._buf[: HEADER_SIZE + length])
-        del self._buf[: HEADER_SIZE + length]
-        return decode_frame(frame)
-
-    def frames(self) -> Iterator[Message]:
-        """Drain every complete frame currently buffered."""
-        while True:
-            msg = self.next_frame()
-            if msg is None:
-                return
-            yield msg

@@ -36,7 +36,7 @@ from usp.transport import (
     StreamHandle,
     tcp_listen,
 )
-from usp.wire import Error, FrameDecoder, Initialize, StreamRequest, encode_frame, message_name
+from usp.wire import Error, Initialize, StreamRequest, decode_frame, encode_frame, message_name
 
 ALICE_KEY = bytes.fromhex("00112233445566778899aabbccddeeff")
 SECRET = b"agent test token secret 0123456789"
@@ -339,12 +339,14 @@ def _handshake_frames(server, **kwargs):
     tap = _Tap(server.listener.connect())
     stream, _ = connect(tap, "vault", clock=server.clock, rng=random.Random(1), **kwargs)
     stream.close()
-    decoders = {"c2s": FrameDecoder(), "s2c": FrameDecoder()}
+    unread = {"c2s": b"", "s2c": b""}
     frames = []
     for direction, data in tap.chunks:
-        decoders[direction].feed(data)
-        frames += [(direction, message_name(m), len(encode_frame(m)))
-                   for m in decoders[direction].frames()]
+        buf = unread[direction] + data
+        while len(buf) >= 4 and len(buf) >= (size := 4 + int.from_bytes(buf[:4], "big")):
+            frames.append((direction, message_name(decode_frame(buf[:size])), size))
+            buf = buf[size:]
+        unread[direction] = buf
     assert sum(size for *_, size in frames) == sum(len(data) for _, data in tap.chunks)
     return frames
 
@@ -955,10 +957,21 @@ def test_load_server_config_rejects_unknown_keys(tmp_path, data, unknown):
             "lenient_coexistence",
         ),
         ({"applications": [{"application": "echo"}], "single_use_tokens": 1}, "single_use_tokens"),
+        ({"applications": [{"application": "echo"}], "token_ttl": True}, "token_ttl"),
+        ({"applications": [{"application": "echo"}], "token_ttl": 1.5}, "token_ttl"),
+        ({"applications": [{"application": "echo"}], "token_ttl": "60"}, "token_ttl"),
+        ({"applications": [{"application": "echo"}], "handshake_timeout": "2"}, "handshake_timeout"),
+        ({"applications": [{"application": "echo"}], "handshake_timeout": True}, "handshake_timeout"),
+        ({"applications": [{"application": 5}]}, "application"),
+        ({"applications": [{"application": "echo"}], "token_secret_hex": 5}, "token_secret_hex"),
+        ({"applications": [{"application": "echo"}], "psk_store": ["psks.json"]}, "psk_store"),
+        ({"applications": [{"application": "echo"}], "supported_auth": "psk-cr"}, "supported_auth"),
+        ({"applications": [{"application": "echo"}], "supported_auth": [1]}, "supported_auth"),
     ],
 )
 def test_load_server_config_requires_boolean_flags(tmp_path, data, flag):
-    # bool("false") is True: a quoted flag must be refused, not read as on.
+    # Every value must have its JSON type, with no conversion: bool("false")
+    # is True, int(1.5) is 1, and a JSON true would pass for the number 1.
     config_path = tmp_path / "server.json"
     config_path.write_text(json.dumps(data))
     with pytest.raises(ValueError, match=flag):

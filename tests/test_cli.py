@@ -181,6 +181,23 @@ def test_serve_bad_config_exits_2(tmp_path):
     assert b"config error" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"applications": [{"application": 5}]},
+        {"applications": [{"application": "echo"}], "supported_auth": ["x"]},
+    ],
+    ids=["application-not-a-string", "protocol-not-implemented"],
+)
+def test_serve_config_error_exits_2_without_a_traceback(tmp_path, config):
+    config_path = tmp_path / "server.json"
+    config_path.write_text(json.dumps(config))
+    result = run_cli("serve", "--config", str(config_path), "--bind", "127.0.0.1:0")
+    assert result.returncode == 2
+    assert result.stderr.startswith(b"config error: ")
+    assert b"Traceback" not in result.stderr
+
+
 def test_serve_port_in_use_exits_2(server_files):
     config_path, _, _ = server_files
     sock = socket.socket()

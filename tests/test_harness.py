@@ -161,6 +161,16 @@ def test_fuzz_counts_handoffs_under_a_caller_config(monkeypatch):
     assert fuzz_malformed(seed=1, n=5, config=config).handoffs == 5
 
 
+def test_fuzz_counts_a_crash_and_closes_the_server_end(monkeypatch):
+    def crash(*args):
+        raise RuntimeError("driver bug")
+
+    monkeypatch.setattr(harness, "_drive_server", crash)
+    report = fuzz_malformed(seed=1, n=5)
+    assert (report.crashes, report.handoffs) == (5, 0)
+    assert report.responses == {"error-frame": 0, "silent-close": 5}
+
+
 def test_fuzz_rejects_nonpositive_n():
     with pytest.raises(ValueError):
         fuzz_malformed(seed=1, n=0)

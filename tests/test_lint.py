@@ -53,3 +53,36 @@ def test_unused_import_check_sees_a_dead_name():
         "    json.dumps(m)\n"
     )
     assert unused_imports(source) == ["line 1: Callable"]
+
+
+def private_imports(source: str) -> list[str]:
+    """Private names (``_x``) a module imports from a sibling module."""
+    return [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+# The fuzzer drives single server sessions without a listener or a worker
+# pool, so it calls the agent's session driver directly.
+ALLOWED_PRIVATE_IMPORTS = {"harness.py": ["agent._drive_server"]}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_imports_across_modules(path):
+    found = private_imports(path.read_text(encoding="utf-8"))
+    assert found == ALLOWED_PRIVATE_IMPORTS.get(path.name, [])
+
+
+def test_private_import_check_sees_a_private_name():
+    source = (
+        "from .wire import HEADER_SIZE, _HEADER\n"
+        "from ._compat import shim\n"
+        "from os import _exit\n"
+        "def f():\n"
+        "    from .auth import _sign\n"
+    )
+    assert private_imports(source) == ["wire._HEADER", "auth._sign"]

@@ -403,15 +403,6 @@ def test_channel_over_tcp_matches_memory():
         listener.close()
 
 
-def test_peek_pending(pair):
-    a, b = pair()
-    chan = FrameChannel(b)
-    assert chan.peek_pending() is False
-    a.write(b"!")
-    assert chan.peek_pending() is True
-    assert b.read(10, timeout=2) == b"!"
-
-
 def test_pending_peeks_without_consuming(pair):
     a, b = pair()
     assert b.pending() is False

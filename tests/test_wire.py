@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from usp.transport import FrameChannel, StreamHandle
 from usp.wire import (
     MAX_FRAME_BYTES,
     AuthData,
     Authenticate,
     Connect,
     Error,
-    FrameDecoder,
     Initialize,
     MalformedKind,
     MalformedMessage,
@@ -280,6 +280,29 @@ def test_validate_structure_is_total_on_objects(obj):
         pass
 
 
+class _Chunks(StreamHandle):
+    """A stream that returns scripted chunks, never more than asked for."""
+
+    def __init__(self, chunks):
+        self.chunks = [c for c in chunks if c]
+
+    def read(self, n, timeout=None):
+        if not self.chunks:
+            return b""
+        chunk = self.chunks.pop(0)
+        if len(chunk) > n:
+            self.chunks.insert(0, chunk[n:])
+        return chunk[:n]
+
+
+def _recv_all(chunks):
+    chan = FrameChannel(_Chunks(chunks))
+    decoded = []
+    while (msg := chan.recv()) is not None:
+        decoded.append(msg)
+    return decoded
+
+
 @given(st.lists(_messages, min_size=1, max_size=5), st.data())
 def test_chunking_independence(msgs, data):
     """Any re-chunking of a frame sequence decodes to the same messages."""
@@ -287,26 +310,15 @@ def test_chunking_independence(msgs, data):
     cuts = sorted(
         data.draw(st.lists(st.integers(min_value=0, max_value=len(stream)), max_size=8))
     )
-    decoder = FrameDecoder()
-    decoded = []
-    previous = 0
-    for cut in cuts + [len(stream)]:
-        decoder.feed(stream[previous:cut])
-        decoded.extend(decoder.frames())
-        previous = cut
-    assert decoded == msgs
+    bounds = [0] + cuts + [len(stream)]
+    assert _recv_all(stream[a:b] for a, b in zip(bounds, bounds[1:])) == msgs
 
 
 @settings(max_examples=25)
 @given(st.lists(_messages, min_size=2, max_size=3))
 def test_byte_at_a_time_decoding(msgs):
     stream = b"".join(encode_frame(m) for m in msgs)
-    decoder = FrameDecoder()
-    decoded = []
-    for i in range(len(stream)):
-        decoder.feed(stream[i : i + 1])
-        decoded.extend(decoder.frames())
-    assert decoded == msgs
+    assert _recv_all(stream[i : i + 1] for i in range(len(stream))) == msgs
 
 
 def test_control_class_is_exactly_unicode_category_cc():
