@@ -58,6 +58,7 @@ from .session import (
     MALFORMED_ENTRY,
     NO_SHARED_PROTOCOL_TEXT,
     SERVER_TO_CLIENT,
+    TERMINAL_PHASES,
     AuthInProgress,
     AuthStepResult,
     AwaitToken,
@@ -160,7 +161,6 @@ class ServerConfig:
     psk_secrets: dict[str, bytes] = field(default_factory=dict)
     token_ttl: int = DEFAULT_TOKEN_TTL
     handshake_timeout: float = DEFAULT_HANDSHAKE_TIMEOUT
-    lenient_coexistence: bool = False
     single_use_tokens: bool = False
 
     def __post_init__(self) -> None:
@@ -199,7 +199,6 @@ class ServerConfig:
             clock=clock,
             rng=rng,
             token_ttl=self.token_ttl,
-            lenient_coexistence=self.lenient_coexistence,
             nonce_cache=NonceCache() if self.single_use_tokens else None,
         )
 
@@ -210,13 +209,13 @@ class SessionRecord:
 
     peer: str
     outcome: str
-    application: str | None
-    identity: str | None
-    method: str | None
-    detail: str | None
     started_at: float
     ended_at: float
     trace: tuple[TraceEntry, ...]
+    application: str | None = None
+    identity: str | None = None
+    method: str | None = None
+    detail: str | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -230,6 +229,26 @@ class SessionRecord:
             "ended_at": self.ended_at,
             "trace": [entry.to_dict() for entry in self.trace],
         }
+
+
+def _session_record(
+    stream: StreamHandle,
+    outcome: str,
+    started_at: float,
+    ended_at: float,
+    trace: Sequence[TraceEntry] = (),
+    ctx: IdentityContext | None = None,
+    detail: str | None = None,
+) -> SessionRecord:
+    """The record of a session on ``stream`` that ended with ``outcome``."""
+    record = SessionRecord(
+        stream.peer_label, outcome, started_at, ended_at, tuple(trace), detail=detail
+    )
+    if ctx is not None:
+        record.application = ctx.application
+        record.identity = ctx.identity
+        record.method = ctx.method.value
+    return record
 
 
 def echo_handler(stream: StreamHandle, ctx: IdentityContext) -> None:
@@ -289,7 +308,7 @@ def _drive(
     lost_in = None
     last = None
 
-    while not isinstance(state, (HandedOff, Connected, Closed)):
+    while not isinstance(state, TERMINAL_PHASES):
         if pending:
             event: SessionEvent = pending.popleft()
         else:
@@ -378,29 +397,11 @@ def _drive_server(
     ended_at = env.clock()
     if isinstance(state, Closed):
         stream.close()
-        return SessionRecord(
-            peer=stream.peer_label,
-            outcome=state.cause.value,
-            application=None,
-            identity=None,
-            method=None,
-            detail=state.detail,
-            started_at=started_at,
-            ended_at=ended_at,
-            trace=tuple(trace),
+        return _session_record(
+            stream, state.cause.value, started_at, ended_at, trace, detail=state.detail
         )
     ctx = state.context
-    record = SessionRecord(
-        peer=stream.peer_label,
-        outcome="handed_off",
-        application=ctx.application,
-        identity=ctx.identity,
-        method=ctx.method.value,
-        detail=None,
-        started_at=started_at,
-        ended_at=ended_at,
-        trace=tuple(trace),
-    )
+    record = _session_record(stream, "handed_off", started_at, ended_at, trace, ctx=ctx)
     try:
         handlers[ctx.application](stream, ctx)
     except Exception as exc:
@@ -524,16 +525,8 @@ class ServerHandle:
                 stream.close()
             except Exception:
                 pass
-            record = SessionRecord(
-                peer=stream.peer_label,
-                outcome="internal_error",
-                application=None,
-                identity=None,
-                method=None,
-                detail=str(exc),
-                started_at=started_at,
-                ended_at=self._env.clock(),
-                trace=(),
+            record = _session_record(
+                stream, "internal_error", started_at, self._env.clock(), detail=str(exc)
             )
         with self._lock:
             self._records.append(record)
@@ -613,7 +606,6 @@ _CONFIG_KEYS = frozenset(
         "token_secret_hex",
         "token_ttl",
         "handshake_timeout",
-        "lenient_coexistence",
         "single_use_tokens",
     }
 )
@@ -693,7 +685,6 @@ def load_server_config(path: str | Path, handler: Handler = echo_handler) -> Ser
         handshake_timeout=float(
             _typed(data, "handshake_timeout", (int, float), "a number", DEFAULT_HANDSHAKE_TIMEOUT)
         ),
-        lenient_coexistence=_flag(data, "lenient_coexistence"),
         single_use_tokens=_flag(data, "single_use_tokens"),
     )
 

@@ -30,6 +30,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .agent import (
     ApplicationRegistration,
     Credentials,
+    Handler,
     ServerConfig,
     _drive_server,
     acquire_token,
@@ -143,18 +144,13 @@ class VirtualClock:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A scripted session (or two) with its expected observable outcome."""
+    """A scripted session (or two) against ``_test_config``, with its expected outcome."""
 
     name: str
-    applications: tuple[tuple[str, bool], ...]
-    supported_auth: tuple[str, ...]
-    psk_secrets: tuple[tuple[str, str], ...]
     client: tuple[dict, ...]
     expected_traces: tuple[tuple[tuple[str, str], ...], ...]
     expected_outcomes: tuple[str, ...]
     expected_handoffs: int
-    lenient_coexistence: bool = False
-    token_secret_hex: str = TEST_TOKEN_SECRET_HEX
 
 
 @dataclass
@@ -186,15 +182,10 @@ class ScenarioResult:
 
 def canonical_scenarios() -> dict[str, Scenario]:
     """The seven canonical flows, keyed by name, in their standard order."""
-    apps = (("echo", False), ("vault", True))
-    psk = (("alice", ALICE_KEY_HEX),)
     c2s, s2c = CLIENT_TO_SERVER, SERVER_TO_CLIENT
     scenarios = [
         Scenario(
             name="unauthenticated-direct",
-            applications=apps,
-            supported_auth=(PSK_PROTOCOL_NAME,),
-            psk_secrets=psk,
             client=({"action": "connect", "application": "echo"},),
             expected_traces=(((c2s, "initialize"), (s2c, "connect")),),
             expected_outcomes=("handed_off",),
@@ -202,9 +193,6 @@ def canonical_scenarios() -> dict[str, Scenario]:
         ),
         Scenario(
             name="authenticated-direct",
-            applications=apps,
-            supported_auth=(PSK_PROTOCOL_NAME,),
-            psk_secrets=psk,
             client=(
                 {
                     "action": "connect",
@@ -229,9 +217,6 @@ def canonical_scenarios() -> dict[str, Scenario]:
         ),
         Scenario(
             name="token-passing",
-            applications=apps,
-            supported_auth=(PSK_PROTOCOL_NAME,),
-            psk_secrets=psk,
             client=(
                 {
                     "action": "acquire",
@@ -256,9 +241,6 @@ def canonical_scenarios() -> dict[str, Scenario]:
         ),
         Scenario(
             name="no-shared-protocol",
-            applications=apps,
-            supported_auth=(PSK_PROTOCOL_NAME,),
-            psk_secrets=psk,
             client=(
                 {"action": "connect", "application": "vault", "offered": ["x25519-psk"]},
             ),
@@ -268,9 +250,6 @@ def canonical_scenarios() -> dict[str, Scenario]:
         ),
         Scenario(
             name="auth-failure",
-            applications=apps,
-            supported_auth=(PSK_PROTOCOL_NAME,),
-            psk_secrets=psk,
             client=(
                 {
                     "action": "connect",
@@ -292,9 +271,6 @@ def canonical_scenarios() -> dict[str, Scenario]:
         ),
         Scenario(
             name="not-hosted",
-            applications=apps,
-            supported_auth=(PSK_PROTOCOL_NAME,),
-            psk_secrets=psk,
             client=({"action": "connect", "application": "ghost"},),
             expected_traces=(((c2s, "initialize"), (s2c, "error")),),
             expected_outcomes=("not_hosted",),
@@ -302,9 +278,6 @@ def canonical_scenarios() -> dict[str, Scenario]:
         ),
         Scenario(
             name="malformed-message",
-            applications=apps,
-            supported_auth=(PSK_PROTOCOL_NAME,),
-            psk_secrets=psk,
             client=({"action": "raw", "payload_hex": MALFORMED_FRAME_PROBE.hex()},),
             expected_traces=(((c2s, "malformed"), (s2c, "error")),),
             expected_outcomes=("malformed",),
@@ -314,24 +287,15 @@ def canonical_scenarios() -> dict[str, Scenario]:
     return {s.name: s for s in scenarios}
 
 
-def _scenario_config(scenario: Scenario, counter: list[int]) -> ServerConfig:
-    def counting_handler(stream, ctx) -> None:
-        counter[0] += 1
-        # Scenario handlers serve no application traffic; wait for the
-        # client to hang up so the session record is final.
-        while stream.read(4096):
-            pass
-
-    registrations = tuple(
-        ApplicationRegistration(application=name, requires_auth=auth, handler=counting_handler)
-        for name, auth in scenario.applications
-    )
+def _test_config(handler: Handler) -> ServerConfig:
+    """The server that scenarios, the fuzzer and the enumerator run against."""
     return ServerConfig(
-        registrations=registrations,
-        token_secret=bytes.fromhex(scenario.token_secret_hex),
-        supported_auth=scenario.supported_auth,
-        psk_secrets={ident: bytes.fromhex(key) for ident, key in scenario.psk_secrets},
-        lenient_coexistence=scenario.lenient_coexistence,
+        registrations=(
+            ApplicationRegistration("echo", False, handler),
+            ApplicationRegistration("vault", True, handler),
+        ),
+        token_secret=bytes.fromhex(TEST_TOKEN_SECRET_HEX),
+        psk_secrets={"alice": bytes.fromhex(ALICE_KEY_HEX)},
     )
 
 
@@ -406,7 +370,15 @@ def run_scenario(
     server_rng = random.Random(seed)
     client_rng = random.Random(seed + 1)
     counter = [0]
-    config = _scenario_config(scenario, counter)
+
+    def counting_handler(stream, ctx) -> None:
+        counter[0] += 1
+        # Scenario handlers serve no application traffic; wait for the
+        # client to hang up so the session record is final.
+        while stream.read(4096):
+            pass
+
+    config = _test_config(counting_handler)
 
     if transport == "memory":
         listener = MemoryListener()
@@ -552,21 +524,6 @@ def _fuzz_payload(rng: random.Random, mutation_class: int) -> bytes:
     return encode_frame(msg)
 
 
-def _fuzz_config() -> ServerConfig:
-    def handler(stream, ctx) -> None:
-        pass
-
-    return ServerConfig(
-        registrations=(
-            ApplicationRegistration("echo", False, handler),
-            ApplicationRegistration("vault", True, handler),
-        ),
-        token_secret=bytes.fromhex(TEST_TOKEN_SECRET_HEX),
-        supported_auth=(PSK_PROTOCOL_NAME,),
-        psk_secrets={"alice": bytes.fromhex(ALICE_KEY_HEX)},
-    )
-
-
 def fuzz_malformed(seed: int, n: int, config: ServerConfig | None = None) -> FuzzReport:
     """Throw n hostile first-flights at fresh server sessions.
 
@@ -578,7 +535,7 @@ def fuzz_malformed(seed: int, n: int, config: ServerConfig | None = None) -> Fuz
         raise ValueError("n must be positive")
     rng = random.Random(seed)
     if config is None:
-        config = _fuzz_config()
+        config = _test_config(lambda stream, ctx: None)
     clock = VirtualClock()
     env = config.env(clock, rng)
     registry = make_registry(psk_protocol(config.psk_secrets))
@@ -646,7 +603,7 @@ def _event_label(event: SessionEvent) -> str:
 
 
 def default_enumeration_env(seed: int = 0) -> ServerEnv:
-    return _fuzz_config().env(lambda: START_EPOCH, random.Random(seed))
+    return _test_config(lambda stream, ctx: None).env(lambda: START_EPOCH, random.Random(seed))
 
 
 def build_event_alphabet(secret: bytes, now: float) -> list[SessionEvent]:

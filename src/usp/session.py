@@ -8,6 +8,9 @@ The server machine encodes the gate this whole protocol exists for: the
 machine enters HandedOff only when the requested application needs no
 authentication or the presented token validates.
 
+Both machines handle a timeout, a malformed frame and an error frame alike
+in every phase (_shared_step); each step function handles only its own phases.
+
 The server evaluates its predicates in a fixed order for every initialize:
 hosted, requires-auth, token-valid, negotiate. Environments expose those
 predicates as methods so tests can observe the order.
@@ -151,8 +154,6 @@ class Closed:
 
 ServerPhase = Union[AwaitInitialize, AuthInProgress, AwaitReinitialize, HandedOff, Closed]
 
-TERMINAL_PHASES = (HandedOff, Closed)
-
 
 @dataclass
 class ServerEnv:
@@ -169,7 +170,6 @@ class ServerEnv:
     clock: Clock
     rng: random.Random
     token_ttl: int = DEFAULT_TOKEN_TTL
-    lenient_coexistence: bool = False
     nonce_cache: NonceCache | None = None
 
     def application_hosted(self, name: str) -> bool:
@@ -212,6 +212,23 @@ def _refuse(cause: CloseCause, text: str) -> tuple[Closed, list[SessionAction]]:
 def _violation(state: object, event_name: str) -> tuple[Closed, list[SessionAction]]:
     text = f"protocol violation: unexpected {event_name} in {type(state).__name__}"
     return _refuse(CloseCause.PROTOCOL_VIOLATION, text)
+
+
+def _shared_step(state: object, event: SessionEvent) -> tuple[Closed, list[SessionAction]] | None:
+    """The step both machines take on ``event`` in any phase, or None if they differ."""
+    if isinstance(state, TERMINAL_PHASES):
+        raise SessionError(f"step on terminal state {type(state).__name__}")
+    if isinstance(event, HandshakeTimeout):
+        return Closed(CloseCause.TIMEOUT), []
+    if isinstance(event, FrameMalformed):
+        # An oversize length prefix is a flooding attempt, not a message.
+        if event.kind is MalformedKind.OVERSIZE:
+            return Closed(CloseCause.MALFORMED, event.kind.value), []
+        return _refuse(CloseCause.MALFORMED, f"malformed message: {event.kind.value}")
+    if isinstance(event, FrameReceived) and isinstance(event.message, Error):
+        # Never answer an error with an error.
+        return Closed(CloseCause.REMOTE_ERROR, event.message.error), []
+    return None
 
 
 def _server_initialize(
@@ -263,27 +280,9 @@ def server_step(
     Raises SessionError when called on a terminal state; every other
     (state, event) pair yields a deterministic transition.
     """
-    if isinstance(state, TERMINAL_PHASES):
-        raise SessionError(f"step on terminal state {type(state).__name__}")
-
-    if isinstance(event, HandshakeTimeout):
-        return Closed(CloseCause.TIMEOUT), []
-
-    if isinstance(event, FrameMalformed):
-        # Two malformed classes close without a reply: an oversize length
-        # prefix (a flooding attempt, not a message) and, in coexistence
-        # mode, any undecodable first frame (assumed to be a legacy
-        # protocol probing a shared port).
-        quiet = event.kind is MalformedKind.OVERSIZE or (
-            env.lenient_coexistence and isinstance(state, AwaitInitialize)
-        )
-        if quiet:
-            return Closed(CloseCause.MALFORMED, event.kind.value), []
-        return _refuse(CloseCause.MALFORMED, f"malformed message: {event.kind.value}")
-
-    if isinstance(event, FrameReceived) and isinstance(event.message, Error):
-        # Never answer an error with an error.
-        return Closed(CloseCause.REMOTE_ERROR, event.message.error), []
+    shared = _shared_step(state, event)
+    if shared is not None:
+        return shared
 
     if isinstance(state, AwaitInitialize):
         if isinstance(event, FrameReceived) and isinstance(event.message, Initialize):
@@ -355,7 +354,8 @@ class Connected:
 
 ClientPhase = Union[SendInitialize, AwaitResponse, ClientAuthInProgress, AwaitToken, Connected, Closed]
 
-CLIENT_TERMINAL_PHASES = (Connected, Closed)
+# The phases in which either machine has finished.
+TERMINAL_PHASES = (HandedOff, Connected, Closed)
 
 
 @dataclass
@@ -380,19 +380,9 @@ def client_step(
     state: ClientPhase, event: SessionEvent, env: ClientEnv
 ) -> tuple[ClientPhase, list[SessionAction]]:
     """Advance the client machine by one event; mirror of server_step."""
-    if isinstance(state, CLIENT_TERMINAL_PHASES):
-        raise SessionError(f"step on terminal state {type(state).__name__}")
-
-    if isinstance(event, HandshakeTimeout):
-        return Closed(CloseCause.TIMEOUT), []
-
-    if isinstance(event, FrameMalformed):
-        if event.kind is MalformedKind.OVERSIZE:
-            return Closed(CloseCause.MALFORMED, event.kind.value), []
-        return _refuse(CloseCause.MALFORMED, f"malformed message: {event.kind.value}")
-
-    if isinstance(event, FrameReceived) and isinstance(event.message, Error):
-        return Closed(CloseCause.REMOTE_ERROR, event.message.error), []
+    shared = _shared_step(state, event)
+    if shared is not None:
+        return shared
 
     if isinstance(state, SendInitialize):
         if isinstance(event, Start):

@@ -301,7 +301,8 @@ def tcp_listen(host: str = "127.0.0.1", port: int = 0) -> TcpListener:
     try:
         sock.bind((host, port))
         sock.listen()
-    except OSError as exc:
+    except (OSError, OverflowError) as exc:
+        # OverflowError: a port outside 0-65535.
         sock.close()
         raise BindError(f"cannot listen on {host}:{port}: {exc}") from None
     return TcpListener(sock)

@@ -34,6 +34,9 @@ _HEADER = struct.Struct(">I")
 # Longest permitted application/protocol name, in UTF-8 bytes.
 MAX_NAME_BYTES = 255
 
+# Most streams one initialize or token may carry: it bounds an anonymous peer's work.
+MAX_STREAMS = 16
+
 # Unicode category Cc: C0 controls, DEL and C1 controls. The stability
 # policy fixes this set, so a character class matches it exactly.
 _CONTROL = re.compile(r"[\x00-\x1f\x7f-\x9f]")
@@ -81,6 +84,13 @@ def _check_name(value: str, what: str) -> None:
         raise ValueError(f"{what}: {err}")
 
 
+def _check_streams(streams: tuple) -> None:
+    if not streams:
+        raise ValueError("streams is empty")
+    if len(streams) > MAX_STREAMS:
+        raise ValueError(f"{len(streams)} streams, limit {MAX_STREAMS}")
+
+
 @dataclass(frozen=True)
 class StreamRequest:
     """One requested application stream, optionally carrying a token.
@@ -117,8 +127,7 @@ class Initialize:
         object.__setattr__(self, "streams", tuple(self.streams))
         for proto in self.authentication:
             _check_name(proto, "protocol")
-        if not self.streams:
-            raise ValueError("streams is empty")
+        _check_streams(self.streams)
         if not self.authentication and any(s.token is None for s in self.streams):
             raise ValueError("empty authentication list with tokenless stream")
 
@@ -164,8 +173,7 @@ class Token:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "streams", tuple(self.streams))
-        if not self.streams:
-            raise ValueError("streams is empty")
+        _check_streams(self.streams)
 
     def to_wire_dict(self) -> dict[str, Any]:
         return {"message": "token", "streams": [s.to_wire_dict() for s in self.streams]}
@@ -261,6 +269,9 @@ def decode_payload(payload: bytes) -> Message:
         value = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedMessage(MalformedKind.NOT_JSON, f"invalid JSON: {exc.msg}") from None
+    except RecursionError:
+        # No valid message nests deeper than 3; the parser gives up near 1000.
+        raise MalformedMessage(MalformedKind.NOT_JSON, "JSON nested too deeply") from None
     return validate_structure(value)
 
 
@@ -291,6 +302,8 @@ def _validate_streams(value: Any, where: str) -> tuple[StreamRequest, ...]:
         raise MalformedMessage(MalformedKind.SCHEMA_VIOLATION, f"{where} is not an array")
     if not value:
         raise MalformedMessage(MalformedKind.SCHEMA_VIOLATION, f"{where} is empty")
+    if len(value) > MAX_STREAMS:
+        raise MalformedMessage(MalformedKind.SCHEMA_VIOLATION, f"{where} is too long")
     entries = []
     for i, entry in enumerate(value):
         path = f"{where}[{i}]"

@@ -6,9 +6,11 @@ import random
 import threading
 import time
 import weakref
+from pathlib import Path
 
 import pytest
 
+from usp import agent
 from usp.agent import (
     ApplicationRegistration,
     AuthFailed,
@@ -403,22 +405,6 @@ def test_handshake_timeout_closes_quietly(server):
     stream.close()
 
 
-def test_lenient_coexistence_drops_first_garbage_quietly():
-    from usp.harness import MALFORMED_FRAME_PROBE
-
-    fixture = Fixture(lenient_coexistence=True)
-    try:
-        stream = fixture.listener.connect()
-        stream.write(MALFORMED_FRAME_PROBE)
-        record = fixture.wait_records(1)[0]
-        assert record.outcome == "malformed"
-        assert [e.name for e in record.trace] == ["malformed"]
-        assert stream.read(100, timeout=1) == b""
-        stream.close()
-    finally:
-        fixture.shutdown()
-
-
 def test_strict_mode_answers_garbage_with_error(server):
     from usp.harness import MALFORMED_FRAME_PROBE
 
@@ -430,6 +416,42 @@ def test_strict_mode_answers_garbage_with_error(server):
         ("c2s", "malformed"),
         ("s2c", "error"),
     ]
+    stream.close()
+
+
+def hostile_initialize(body: bytes) -> bytes:
+    return len(body).to_bytes(4, "big") + body
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        # Nested 1000 deep: the JSON parser gives up with a RecursionError.
+        hostile_initialize(
+            b'{"message":"initialize","authentication":%s%s,"streams":[]}'
+            % (b"[" * 1000, b"]" * 1000)
+        ),
+        # Valid but for its 2846 open streams, in 65 526 bytes.
+        hostile_initialize(
+            b'{"message":"initialize","authentication":["psk-cr"],"streams":[%s]}'
+            % b",".join([b'{"application":"echo"}'] * 2846)
+        ),
+    ],
+    ids=["nested-1000-deep", "2846-streams"],
+)
+def test_hostile_initialize_ends_malformed_with_an_error_frame(server, payload):
+    stream = server.listener.connect()
+    stream.write(payload)
+    record = server.wait_records(1)[0]
+    assert record.outcome == "malformed"
+    assert [(e.direction, e.name) for e in record.trace] == [
+        ("c2s", "malformed"),
+        ("s2c", "error"),
+    ]
+    chan = FrameChannel(stream)
+    assert isinstance(chan.recv(), Error)
+    assert chan.recv() is None
+    assert server.handle.handoff_count == 0 and server.handler_calls == []
     stream.close()
 
 
@@ -897,7 +919,6 @@ def test_load_server_config(tmp_path):
                 "psk_store": "psks.json",
                 "token_secret_hex": SECRET.hex(),
                 "token_ttl": 60,
-                "lenient_coexistence": True,
             }
         )
     )
@@ -907,27 +928,23 @@ def test_load_server_config(tmp_path):
     assert config.psk_secrets == {"alice": ALICE_KEY}
     assert config.token_secret == SECRET
     assert config.token_ttl == 60
-    assert config.lenient_coexistence is True
+
+
+def readme_config_sample() -> dict:
+    """The JSON block under README's "Server configuration file" heading."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Server configuration file\n", 1)[1]
+    return json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
 
 
 def test_load_server_config_accepts_every_documented_key(tmp_path):
-    (tmp_path / "psks.json").write_text(json.dumps({"alice": ALICE_KEY.hex()}))
+    sample = readme_config_sample()
+    # The sample names every key the loader knows, and no other.
+    assert sample.keys() == agent._CONFIG_KEYS
+    (tmp_path / sample["psk_store"]).write_text(json.dumps({"alice": ALICE_KEY.hex()}))
+    sample["token_secret_hex"] = SECRET.hex()  # README shows a placeholder
     config_path = tmp_path / "server.json"
-    # The full sample of the README's "Server configuration file" section.
-    config_path.write_text(
-        json.dumps(
-            {
-                "applications": [{"application": "echo", "requires_auth": False}],
-                "supported_auth": ["psk-cr"],
-                "psk_store": "psks.json",
-                "token_secret_hex": SECRET.hex(),
-                "token_ttl": 3600,
-                "handshake_timeout": 10.0,
-                "lenient_coexistence": False,
-                "single_use_tokens": False,
-            }
-        )
-    )
+    config_path.write_text(json.dumps(sample))
     config = load_server_config(config_path)
     assert config.handshake_timeout == 10.0
     assert config.single_use_tokens is False
@@ -952,10 +969,7 @@ def test_load_server_config_rejects_unknown_keys(tmp_path, data, unknown):
     "data, flag",
     [
         ({"applications": [{"application": "echo", "requires_auth": "true"}]}, "requires_auth"),
-        (
-            {"applications": [{"application": "echo"}], "lenient_coexistence": "false"},
-            "lenient_coexistence",
-        ),
+        ({"applications": [{"application": "echo", "requires_auth": 1}]}, "requires_auth"),
         ({"applications": [{"application": "echo"}], "single_use_tokens": 1}, "single_use_tokens"),
         ({"applications": [{"application": "echo"}], "token_ttl": True}, "token_ttl"),
         ({"applications": [{"application": "echo"}], "token_ttl": 1.5}, "token_ttl"),

@@ -212,6 +212,12 @@ def test_serve_port_in_use_exits_2(server_files):
         sock.close()
 
 
+def test_serve_bad_port_exits_2(server_files, capsys):
+    config_path, _, _ = server_files
+    assert main(["serve", "--config", str(config_path), "--bind", "127.0.0.1:99999"]) == 2
+    assert capsys.readouterr().err.startswith("bind error: ")
+
+
 def test_connect_bad_target_exits_2():
     assert main(["connect", "http://nope/x"]) == 2
 

@@ -273,22 +273,6 @@ def test_malformed_strict_sends_error():
     assert "not_json" in sent.error
 
 
-def test_malformed_lenient_first_frame_closes_quietly():
-    env = make_env(lenient_coexistence=True)
-    state, actions = server_step(
-        initial_server_state(), FrameMalformed(MalformedKind.NOT_JSON), env
-    )
-    assert isinstance(state, Closed) and state.cause is CloseCause.MALFORMED
-    assert sends(actions) == []
-
-
-def test_malformed_lenient_later_frame_still_errors():
-    env = make_env(lenient_coexistence=True)
-    state = AuthInProgress("psk-cr", (StreamRequest("vault"),))
-    _, actions = server_step(state, FrameMalformed(MalformedKind.NOT_JSON), env)
-    assert len(sends(actions)) == 1
-
-
 def test_oversize_closes_quietly_even_in_strict_mode():
     state, actions = server_step(
         initial_server_state(), FrameMalformed(MalformedKind.OVERSIZE), make_env()

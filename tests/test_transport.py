@@ -248,6 +248,13 @@ def test_tcp_bind_conflict():
         listener.close()
 
 
+@pytest.mark.parametrize("port", [99999, -1])
+def test_tcp_listen_bad_port_is_a_bind_error(port):
+    # The socket is closed too: tier-1 turns a leaked one into an error.
+    with pytest.raises(BindError):
+        tcp_listen("127.0.0.1", port)
+
+
 def test_tcp_listener_close_unblocks_accept():
     listener = tcp_listen("127.0.0.1", 0)
     errors = []

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from usp.transport import FrameChannel, StreamHandle
 from usp.wire import (
     MAX_FRAME_BYTES,
+    MAX_STREAMS,
     AuthData,
     Authenticate,
     Connect,
@@ -130,6 +131,50 @@ def test_empty_streams_rejected():
     with pytest.raises(MalformedMessage) as exc:
         validate_structure({"message": "token", "streams": []})
     assert exc.value.kind is MalformedKind.SCHEMA_VIOLATION
+
+
+def nested_initialize(depth: int) -> bytes:
+    """A framed initialize whose authentication is arrays nested ``depth`` deep."""
+    body = b'{"message":"initialize","authentication":%s%s,"streams":[]}' % (
+        b"[" * depth,
+        b"]" * depth,
+    )
+    return struct.pack(">I", len(body)) + body
+
+
+# The deepest nesting whose frame stays within MAX_FRAME_BYTES.
+DEEPEST_NESTING = (MAX_FRAME_BYTES - len(nested_initialize(0)) + 4) // 2
+
+
+@pytest.mark.parametrize("depth", [1000, DEEPEST_NESTING])
+def test_deep_nesting_is_malformed_not_a_recursion_error(depth):
+    data = nested_initialize(depth)
+    assert len(data) <= 4 + MAX_FRAME_BYTES
+    with pytest.raises(MalformedMessage):
+        decode_frame(data)
+
+
+def streams_of(count: int, kind: str = "initialize") -> dict:
+    streams = [{"application": f"app{i}"} for i in range(count)]
+    if kind == "token":
+        return {"message": "token", "streams": [dict(s, token="t") for s in streams]}
+    return {"message": "initialize", "authentication": ["psk-cr"], "streams": streams}
+
+
+@pytest.mark.parametrize("kind", ["initialize", "token"])
+def test_stream_count_is_capped(kind):
+    assert len(decode_frame(frame(streams_of(MAX_STREAMS, kind))).streams) == MAX_STREAMS
+    with pytest.raises(MalformedMessage) as exc:
+        decode_frame(frame(streams_of(MAX_STREAMS + 1, kind)))
+    assert exc.value.kind is MalformedKind.SCHEMA_VIOLATION
+
+
+def test_no_encoder_builds_more_streams_than_the_decoder_takes():
+    streams = tuple(StreamRequest(f"app{i}", token="t") for i in range(MAX_STREAMS + 1))
+    with pytest.raises(ValueError):
+        Initialize(authentication=("psk-cr",), streams=streams)
+    with pytest.raises(ValueError):
+        Token(streams=streams)
 
 
 def test_empty_auth_with_tokenless_stream_rejected():
