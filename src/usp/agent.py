@@ -4,7 +4,11 @@ Client and server share one handshake loop, _drive: it reads a frame,
 feeds it to the pure session machine (server_step or client_step), sends
 the frames the machine asks for and starts authentication runs, until the
 phase is terminal. Only the setup around it and the reading of the final
-phase differ between the two sides.
+phase differ between the two sides. On the server, ServerHandle._run_session
+is the one caller: it drives the handshake, runs the handler after a
+handoff and writes the session record. The client builds its initialize
+before it dials, so a request that no initialize can carry fails without
+a connection.
 
 The server agent runs a pool of worker threads that accept connections
 themselves (the Leader/Followers pattern): there is no acceptor thread
@@ -94,6 +98,7 @@ from .transport import (
 from .wire import (
     AuthData,
     Error,
+    Initialize,
     MalformedMessage,
     Message,
     StreamRequest,
@@ -176,16 +181,16 @@ class ServerConfig:
             seen.add(reg.application)
         if any(r.requires_auth for r in self.registrations) and not self.supported_auth:
             raise ValueError("authentication required but no protocols supported")
+        # Anyone can sign or answer under an empty key.
+        if not self.token_secret:
+            raise ValueError("token_secret is empty")
+        for identity, key in self.psk_secrets.items():
+            if not key:
+                raise ValueError(f"psk key for {identity!r} is empty")
         if self.token_ttl <= 0:
             raise ValueError(f"token_ttl must be positive, not {self.token_ttl}")
         if not self.handshake_timeout > 0:  # NaN too: it would never expire
             raise ValueError(f"handshake_timeout must be positive, not {self.handshake_timeout}")
-
-    def handlers(self) -> dict[str, Handler]:
-        return {r.application: r.handler for r in self.registrations}
-
-    def auth_map(self) -> dict[str, bool]:
-        return {r.application: r.requires_auth for r in self.registrations}
 
     def env(self, clock: Clock, rng: random.Random) -> ServerEnv:
         """The session machine's environment for this config.
@@ -193,7 +198,7 @@ class ServerConfig:
         With ``single_use_tokens`` each call gets its own nonce cache.
         """
         return ServerEnv(
-            applications=self.auth_map(),
+            applications={r.application: r.requires_auth for r in self.registrations},
             supported_auth=self.supported_auth,
             token_secret=self.token_secret,
             clock=clock,
@@ -375,42 +380,6 @@ def _drive(
 # --- server side ---
 
 
-def _drive_server(
-    stream: StreamHandle,
-    env: ServerEnv,
-    registry: Mapping[str, AuthProtocol],
-    handlers: Mapping[str, Handler],
-    handshake_timeout: float,
-    started_at: float,
-) -> SessionRecord:
-    state, trace, _, _ = _drive(
-        stream,
-        server_step,
-        env,
-        initial_server_state(),
-        deque(),
-        lambda protocol: _begin_auth(registry, "server", AuthConfig(rng=env.rng), protocol),
-        started_at + handshake_timeout,
-        CLIENT_TO_SERVER,
-        SERVER_TO_CLIENT,
-    )
-    ended_at = env.clock()
-    if isinstance(state, Closed):
-        stream.close()
-        return _session_record(
-            stream, state.cause.value, started_at, ended_at, trace, detail=state.detail
-        )
-    ctx = state.context
-    record = _session_record(stream, "handed_off", started_at, ended_at, trace, ctx=ctx)
-    try:
-        handlers[ctx.application](stream, ctx)
-    except Exception as exc:
-        record.detail = f"handler error: {exc}"
-    finally:
-        stream.close()
-    return record
-
-
 class ServerHandle:
     """A running server; thread-safe counters and orderly shutdown.
 
@@ -443,12 +412,11 @@ class ServerHandle:
         self._lock = threading.Lock()
         self._records: list[SessionRecord] = []
         self._handoffs = 0
-        self._live_streams: dict[int, StreamHandle] = {}
+        self._live_streams: set[StreamHandle] = set()
         # Workers waiting in accept, or about to; guarded by _lock.
         self._idle = 0
         self._workers: list[threading.Thread] = []
         self._stopping = threading.Event()
-        self._next_id = 0
         with self._lock:
             self._start_worker()
 
@@ -503,22 +471,47 @@ class ServerHandle:
                 stream.close()
                 return False
             self._idle -= 1
-            sid = self._next_id
-            self._next_id += 1
-            self._live_streams[sid] = stream
+            self._live_streams.add(stream)
             if not self._idle:
                 self._start_worker()
-        self._run_session(sid, stream)
+        self._run_session(stream)
         with self._lock:
             self._idle += 1
         return True
 
-    def _run_session(self, sid: int, stream: StreamHandle) -> None:
-        started_at = self._env.clock()
+    def _run_session(self, stream: StreamHandle) -> None:
+        """Drive one handshake on ``stream``, run the handler on a handoff, log it."""
+        env = self._env
+        started_at = env.clock()
         try:
-            record = _drive_server(
-                stream, self._env, self._registry, self._handlers, self._timeout, started_at
+            state, trace, _, _ = _drive(
+                stream,
+                server_step,
+                env,
+                initial_server_state(),
+                deque(),
+                lambda protocol: _begin_auth(
+                    self._registry, "server", AuthConfig(rng=env.rng), protocol
+                ),
+                started_at + self._timeout,
+                CLIENT_TO_SERVER,
+                SERVER_TO_CLIENT,
             )
+            ended_at = env.clock()
+            if isinstance(state, Closed):
+                stream.close()
+                record = _session_record(
+                    stream, state.cause.value, started_at, ended_at, trace, detail=state.detail
+                )
+            else:
+                ctx = state.context
+                record = _session_record(stream, "handed_off", started_at, ended_at, trace, ctx=ctx)
+                try:
+                    self._handlers[ctx.application](stream, ctx)
+                except Exception as exc:
+                    record.detail = f"handler error: {exc}"
+                finally:
+                    stream.close()
         except Exception as exc:
             # Isolation: one broken session never takes the server down.
             try:
@@ -526,13 +519,13 @@ class ServerHandle:
             except Exception:
                 pass
             record = _session_record(
-                stream, "internal_error", started_at, self._env.clock(), detail=str(exc)
+                stream, "internal_error", started_at, env.clock(), detail=str(exc)
             )
         with self._lock:
             self._records.append(record)
             if record.outcome == "handed_off":
                 self._handoffs += 1
-            self._live_streams.pop(sid, None)
+            self._live_streams.discard(stream)
         if self._observer is not None:
             self._observer(record)
         if self._log is not None:
@@ -551,7 +544,7 @@ class ServerHandle:
         # Wakes every worker waiting in accept.
         self._listener.close()
         with self._lock:
-            streams = list(self._live_streams.values())
+            streams = list(self._live_streams)
             workers = list(self._workers)
         for stream in streams:
             try:
@@ -591,7 +584,7 @@ def serve(
         listener,
         config.env(clock or time.time, rng or random.SystemRandom()),
         registry,
-        config.handlers(),
+        {r.application: r.handler for r in config.registrations},
         config.handshake_timeout,
         observer=observer,
         log=log,
@@ -726,8 +719,8 @@ def _open_endpoint(endpoint, timeout: float) -> StreamHandle:
 
 def _client_handshake(
     endpoint,
-    offered: tuple[str, ...],
-    requests: tuple[StreamRequest, ...],
+    offered: Sequence[str],
+    requests: Sequence[StreamRequest],
     credentials: Credentials | None,
     registry: Mapping[str, AuthProtocol] | None,
     clock: Clock | None,
@@ -738,12 +731,13 @@ def _client_handshake(
 ):
     """Open ``endpoint`` and run the client handshake to its end.
 
-    Returns the stream, the final phase, the phase the connection was lost
-    in (or None) and the last message received.
+    The initialize is built first, so a request it cannot carry raises
+    ValueError before anything is dialed. Returns the stream, the final
+    phase, the phase the connection was lost in (or None) and the last
+    message received; if the handshake raises, the stream is closed.
     """
     env = ClientEnv(
-        offered=offered,
-        requests=requests,
+        initialize=Initialize(authentication=offered, streams=requests),
         clock=clock or time.time,
         stop_after_token=stop_after_token,
     )
@@ -755,17 +749,21 @@ def _client_handshake(
         key=credentials.key if credentials else None,
     )
     stream = _open_endpoint(endpoint, timeout)
-    state, steps, lost_in, last = _drive(
-        stream,
-        client_step,
-        env,
-        initial_client_state(),
-        deque([Start()]),
-        lambda protocol: _begin_auth(registry, "client", config, protocol),
-        env.clock() + timeout,
-        SERVER_TO_CLIENT,
-        CLIENT_TO_SERVER,
-    )
+    try:
+        state, steps, lost_in, last = _drive(
+            stream,
+            client_step,
+            env,
+            initial_client_state(),
+            deque([Start()]),
+            lambda protocol: _begin_auth(registry, "client", config, protocol),
+            env.clock() + timeout,
+            SERVER_TO_CLIENT,
+            CLIENT_TO_SERVER,
+        )
+    except BaseException:
+        stream.close()
+        raise
     if trace is not None:
         trace.extend(steps)
     return stream, state, lost_in, last
@@ -791,9 +789,6 @@ def connect(
     the server's connect confirmation; on any failure it is closed and
     the matching exception raised.
     """
-    offered = tuple(offered)
-    if not offered and token is None:
-        raise ValueError("no authentication protocols offered and no token supplied")
     requests = (StreamRequest(application=application, token=token),)
     stream, state, lost_in, _ = _client_handshake(
         endpoint, offered, requests, credentials, registry, clock, rng, timeout, trace
@@ -822,12 +817,7 @@ def acquire_token(
     the session is closed as soon as the token message arrives. The
     caller moves the tokens to their final holder out of band.
     """
-    if not applications:
-        raise ValueError("no applications requested")
-    offered = tuple(offered)
-    if not offered:
-        raise ValueError("token acquisition needs at least one offered protocol")
-    requests = tuple(StreamRequest(application=app) for app in applications)
+    requests = [StreamRequest(application=app) for app in applications]
     stream, state, lost_in, last = _client_handshake(
         endpoint, offered, requests, credentials, registry, clock, rng, timeout, trace,
         stop_after_token=True,

@@ -6,11 +6,12 @@ over an in-process socketpair (or TCP loopback) with a virtual clock and a
 seeded RNG, then compares the observed per-session message traces, handoff
 count, and close causes against the expected values pinned in the scenario.
 
-The fuzzer drives the server session loop synchronously with five classes
-of hostile input and checks the only two acceptable outcomes: an error
-frame or a quiet close. Never a handoff, never a crash. A server that
-closes with hostile bytes unread leaves the client a reset after its
-reply; the reply ends there.
+The fuzzer runs the same server through serve() on an in-process listener
+and dials it once per case with one of five classes of hostile input,
+then checks the only two acceptable outcomes: an error frame or a quiet
+close. Never a handoff, never a crash. A server that closes with hostile
+bytes unread leaves the client a reset after its reply; the reply ends
+there.
 
 The enumerator walks every reachable (state, event) transition of the
 server machine over a finite event alphabet and re-checks the handoff gate
@@ -32,7 +33,6 @@ from .agent import (
     Credentials,
     Handler,
     ServerConfig,
-    _drive_server,
     acquire_token,
     connect,
     serve,
@@ -42,8 +42,6 @@ from .auth import (
     AuthStatus,
     AuthStep,
     issue_token,
-    make_registry,
-    psk_protocol,
     validate_token,
 )
 from .errors import UspError
@@ -66,7 +64,6 @@ from .transport import (
     ConnectionLost,
     FrameChannel,
     MemoryListener,
-    memory_pair,
     tcp_dial,
     tcp_listen,
 )
@@ -162,22 +159,6 @@ class ScenarioResult:
 
     def trace_pairs(self) -> list[list[tuple[str, str]]]:
         return [[(e.direction, e.name) for e in t] for t in self.traces]
-
-    def to_json_lines(self) -> str:
-        lines = []
-        for i, (trace, outcome) in enumerate(zip(self.traces, self.outcomes)):
-            lines.append(
-                json.dumps(
-                    {
-                        "scenario": self.name,
-                        "session": i,
-                        "outcome": outcome,
-                        "trace": [e.to_dict() for e in trace],
-                    },
-                    sort_keys=True,
-                )
-            )
-        return "\n".join(lines) + "\n"
 
 
 def canonical_scenarios() -> dict[str, Scenario]:
@@ -524,49 +505,47 @@ def _fuzz_payload(rng: random.Random, mutation_class: int) -> bytes:
     return encode_frame(msg)
 
 
-def fuzz_malformed(seed: int, n: int, config: ServerConfig | None = None) -> FuzzReport:
-    """Throw n hostile first-flights at fresh server sessions.
+def fuzz_malformed(seed: int, n: int) -> FuzzReport:
+    """Throw n hostile first-flights at a server started with serve().
 
-    Five mutation classes are interleaved at exactly 20% each. Every
-    session must end without a handoff; any unhandled exception in the
-    session driver counts as a crash.
+    Each case dials the ``_test_config`` server on a MemoryListener,
+    writes its payload, ends its side and reads the reply. Five mutation
+    classes are interleaved at exactly 20% each. Every session must end
+    without a handoff; an ``internal_error`` record, which the server
+    writes when its session driver raises, counts as a crash.
     """
     if n <= 0:
         raise ValueError("n must be positive")
     rng = random.Random(seed)
-    if config is None:
-        config = _test_config(lambda stream, ctx: None)
-    clock = VirtualClock()
-    env = config.env(clock, rng)
-    registry = make_registry(psk_protocol(config.psk_secrets))
-    handlers = config.handlers()
-
-    handoffs = crashes = 0
+    listener = MemoryListener()
+    # The server draws from its own RNG, so the payloads do not depend on it.
+    handle = serve(
+        listener,
+        _test_config(lambda stream, ctx: None),
+        clock=VirtualClock(),
+        rng=random.Random(seed),
+    )
     responses = {"error-frame": 0, "silent-close": 0}
-    for i in range(n):
-        payload = _fuzz_payload(rng, i % _MUTATION_CLASSES)
-        client, server = memory_pair()
-        client.write(payload)
-        client.shutdown_write()
-        try:
-            record = _drive_server(
-                server, env, registry, handlers, config.handshake_timeout, clock()
-            )
-        except Exception:
-            crashes += 1
-        else:
-            handoffs += record.outcome == "handed_off"
-        finally:
-            server.close()
-        responses[_classify_response(client)] += 1
-        client.close()
+    try:
+        for i in range(n):
+            client = listener.connect()
+            try:
+                client.write(_fuzz_payload(rng, i % _MUTATION_CLASSES))
+                client.shutdown_write()
+                responses[_classify_response(client)] += 1
+            finally:
+                client.close()
+        _wait_for_records(handle, n)
+    finally:
+        handle.shutdown()
+    crashes = sum(r.outcome == "internal_error" for r in handle.records())
     return FuzzReport(
-        cases=n, handoffs=handoffs, crashes=crashes, responses=responses, seed=seed
+        cases=n, handoffs=handle.handoff_count, crashes=crashes, responses=responses, seed=seed
     )
 
 
 def _classify_response(client) -> str:
-    """Read the server's reply; the server end must already be closed."""
+    """Read the server's reply until the server closes its end."""
     chan = FrameChannel(client)
     try:
         while (msg := chan.recv()) is not None:
@@ -684,15 +663,13 @@ def enumerate_machine(
     max_events: int,
     *,
     env: ServerEnv | None = None,
-    alphabet: Sequence[SessionEvent] | None = None,
-    oracle_secret: bytes | None = None,
     expected_causes: Iterable[str] | None = None,
 ) -> EnumerationReport:
     """Exhaustively explore every server transition reachable in max_events.
 
-    The gate oracle validates tokens with ``oracle_secret`` (the honest
-    secret) regardless of what the machine's env believes, so a machine
-    whose token check was weakened is caught. Raises CounterexampleFound
+    The gate oracle re-validates every token with ``env.token_secret``
+    instead of trusting the machine's verdict, so a machine whose token
+    check was weakened is caught. Raises CounterexampleFound
     with the offending event path on any violation, and on any cause from
     ``expected_causes`` that was never reached.
     """
@@ -700,13 +677,9 @@ def enumerate_machine(
         raise ValueError("max_events must be between 1 and 10")
     if env is None:
         env = default_enumeration_env()
-    if alphabet is None:
-        alphabet = build_event_alphabet(env.token_secret, env.clock())
-    if oracle_secret is None:
-        oracle_secret = env.token_secret
-
-    applications = dict(env.applications)
     now = env.clock()
+    alphabet = build_event_alphabet(env.token_secret, now)
+    applications = dict(env.applications)
 
     start = initial_server_state()
     seen = {start}
@@ -724,7 +697,7 @@ def enumerate_machine(
             for event in alphabet:
                 new_state, _ = server_step(state, event, env)
                 transitions += 1
-                problem = _check_gate(event, new_state, applications, oracle_secret, now)
+                problem = _check_gate(event, new_state, applications, env.token_secret, now)
                 if problem is not None:
                     raise CounterexampleFound(problem, path + (event,))
                 if isinstance(new_state, HandedOff):

@@ -19,7 +19,7 @@ predicates as methods so tests can observe the order.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -362,12 +362,11 @@ TERMINAL_PHASES = (HandedOff, Connected, Closed)
 class ClientEnv:
     """Client-side session parameters.
 
-    ``requests`` must form a valid initialize together with ``offered``:
-    when ``offered`` is empty every request needs a token.
+    ``initialize`` is the client's first frame: its protocols are the ones
+    offered, its streams the ones requested.
     """
 
-    offered: tuple[str, ...]
-    requests: tuple[StreamRequest, ...]
+    initialize: Initialize
     clock: Clock
     stop_after_token: bool = False
 
@@ -386,9 +385,8 @@ def client_step(
 
     if isinstance(state, SendInitialize):
         if isinstance(event, Start):
-            msg = Initialize(authentication=env.offered, streams=env.requests)
-            presented = any(r.token is not None for r in env.requests)
-            return AwaitResponse(presented_token=presented), [Send(msg)]
+            presented = any(r.token is not None for r in env.initialize.streams)
+            return AwaitResponse(presented_token=presented), [Send(env.initialize)]
         return _violation(state, _event_name(event))
 
     if isinstance(state, AwaitResponse):
@@ -396,7 +394,7 @@ def client_step(
             return _client_connect(state, event.message, env)
         if isinstance(event, FrameReceived) and isinstance(event.message, Authenticate):
             proto = event.message.protocol
-            if proto not in env.offered:
+            if proto not in env.initialize.authentication:
                 text = f"server selected unoffered protocol: {proto}"
                 return Closed(CloseCause.PROTOCOL_VIOLATION, text), []
             return ClientAuthInProgress(protocol=proto), [BeginAuth(proto)]
@@ -411,7 +409,7 @@ def client_step(
     if isinstance(event, FrameReceived) and isinstance(event.message, Token):
         if env.stop_after_token:
             return Closed(CloseCause.TOKEN_ACQUIRED), []
-        msg = Initialize(authentication=env.offered, streams=event.message.streams)
+        msg = replace(env.initialize, streams=event.message.streams)
         return (
             AwaitResponse(
                 presented_token=True,
@@ -426,7 +424,7 @@ def client_step(
 def _client_connect(
     state: AwaitResponse, msg: Connect, env: ClientEnv
 ) -> tuple[ClientPhase, list[SessionAction]]:
-    requested = {r.application: r for r in env.requests}
+    requested = {r.application: r for r in env.initialize.streams}
     if msg.application not in requested:
         return _violation(state, f"connect for unrequested application {msg.application!r}")
     if state.auth_protocol is not None:

@@ -34,8 +34,10 @@ _HEADER = struct.Struct(">I")
 # Longest permitted application/protocol name, in UTF-8 bytes.
 MAX_NAME_BYTES = 255
 
-# Most streams one initialize or token may carry: it bounds an anonymous peer's work.
+# Most streams one initialize or token may carry, and most protocols one
+# initialize may offer: they bound an anonymous peer's work.
 MAX_STREAMS = 16
+MAX_PROTOCOLS = 16
 
 # Unicode category Cc: C0 controls, DEL and C1 controls. The stability
 # policy fixes this set, so a character class matches it exactly.
@@ -125,6 +127,8 @@ class Initialize:
     def __post_init__(self) -> None:
         object.__setattr__(self, "authentication", tuple(self.authentication))
         object.__setattr__(self, "streams", tuple(self.streams))
+        if len(self.authentication) > MAX_PROTOCOLS:
+            raise ValueError(f"{len(self.authentication)} protocols, limit {MAX_PROTOCOLS}")
         for proto in self.authentication:
             _check_name(proto, "protocol")
         _check_streams(self.streams)
@@ -342,6 +346,10 @@ def validate_structure(value: Any) -> Message:
         if name == "initialize":
             _check_keys(value, {"message", "authentication", "streams"}, set(), "initialize")
             auth = value["authentication"]
+            if isinstance(auth, list) and len(auth) > MAX_PROTOCOLS:
+                raise MalformedMessage(
+                    MalformedKind.SCHEMA_VIOLATION, "initialize.authentication is too long"
+                )
             if not isinstance(auth, list) or any(not isinstance(p, str) for p in auth):
                 raise MalformedMessage(
                     MalformedKind.SCHEMA_VIOLATION,

@@ -38,7 +38,15 @@ from usp.transport import (
     StreamHandle,
     tcp_listen,
 )
-from usp.wire import Error, Initialize, StreamRequest, decode_frame, encode_frame, message_name
+from usp.wire import (
+    MAX_STREAMS,
+    Error,
+    Initialize,
+    StreamRequest,
+    decode_frame,
+    encode_frame,
+    message_name,
+)
 
 ALICE_KEY = bytes.fromhex("00112233445566778899aabbccddeeff")
 SECRET = b"agent test token secret 0123456789"
@@ -184,6 +192,35 @@ def test_acquire_for_open_application_is_an_error(server):
 def test_acquire_requires_an_offer(server):
     with pytest.raises(ValueError):
         server.acquire(["vault"], offered=())
+
+
+def test_client_checks_its_initialize_before_it_dials(server):
+    with pytest.raises(ValueError, match=f"{MAX_STREAMS + 1} streams"):
+        server.acquire([f"app{i}" for i in range(MAX_STREAMS + 1)])
+    server.shutdown()
+    assert server.handle.records() == []
+
+
+def test_client_closes_its_stream_when_the_handshake_raises(server):
+    from usp.auth import AuthProtocol, make_registry
+
+    class BrokenPsk(AuthProtocol):
+        name = "psk-cr"
+
+        def begin(self, role, config):
+            raise RuntimeError("begin failed")
+
+    with pytest.raises(RuntimeError, match="begin failed"):
+        server.connect(
+            "vault",
+            credentials=Credentials("alice", ALICE_KEY),
+            registry=make_registry(BrokenPsk()),
+        )
+    # The server sees the close at once; a leaked stream would keep it
+    # waiting, since its virtual clock never reaches the deadline.
+    (record,) = server.wait_records(1)
+    assert record.outcome == "connection_lost"
+    assert server.handler_calls == []
 
 
 def test_token_passing_completes_in_two_messages(server):
@@ -436,8 +473,13 @@ def hostile_initialize(body: bytes) -> bytes:
             b'{"message":"initialize","authentication":["psk-cr"],"streams":[%s]}'
             % b",".join([b'{"application":"echo"}'] * 2846)
         ),
+        # Valid but for its 16 364 one-character protocols, in 65 534 bytes.
+        hostile_initialize(
+            b'{"message":"initialize","authentication":[%s],"streams":[{"application":"echo"}]}'
+            % b",".join([b'"a"'] * 16364)
+        ),
     ],
-    ids=["nested-1000-deep", "2846-streams"],
+    ids=["nested-1000-deep", "2846-streams", "16364-protocols"],
 )
 def test_hostile_initialize_ends_malformed_with_an_error_frame(server, payload):
     stream = server.listener.connect()
@@ -676,7 +718,7 @@ def test_internal_error_record_spans_the_session():
     assert record.outcome == "internal_error"
     assert "begin failed" in (record.detail or "")
     assert record.started_at < record.ended_at
-    # _drive_server reads the clock while it waits for the initialize, so a
+    # The session driver reads the clock while it waits for the initialize, so a
     # start stamped only after the failure would sit one tick before the end.
     assert record.ended_at - record.started_at > 1.0
 
@@ -888,6 +930,29 @@ def test_server_config_rejects_nonpositive_durations(bad):
             token_secret=SECRET,
             **bad,
         )
+
+
+@pytest.mark.parametrize(
+    "bad", [{"token_secret": b""}, {"psk_secrets": {"alice": ALICE_KEY, "bob": b""}}]
+)
+def test_server_config_rejects_empty_secrets(bad):
+    # Anyone can sign a token, or answer a psk challenge, under an empty key.
+    settings = dict(
+        registrations=(ApplicationRegistration("vault", True, echo_handler),),
+        token_secret=SECRET,
+    )
+    with pytest.raises(ValueError, match="empty"):
+        ServerConfig(**{**settings, **bad})
+
+
+def test_load_server_config_rejects_an_empty_psk_key(tmp_path):
+    (tmp_path / "psks.json").write_text(json.dumps({"alice": ""}))
+    config_path = tmp_path / "server.json"
+    config_path.write_text(
+        json.dumps({"applications": [{"application": "echo"}], "psk_store": "psks.json"})
+    )
+    with pytest.raises(ValueError, match="'alice' is empty"):
+        load_server_config(config_path)
 
 
 def test_serve_rejects_unimplemented_protocols():

@@ -7,8 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from usp import harness
-from usp.agent import ApplicationRegistration, ServerConfig
+from usp import agent, harness
 from usp.auth import AuthMethod, IdentityContext
 from usp.harness import (
     CounterexampleFound,
@@ -75,9 +74,10 @@ def test_scenario_matches_golden_file(name):
 
 def test_scenario_runs_are_deterministic():
     scenario = canonical_scenarios()["authenticated-direct"]
-    first = run_scenario(scenario, seed=5).to_json_lines()
-    second = run_scenario(scenario, seed=5).to_json_lines()
-    assert first == second
+    first = run_scenario(scenario, seed=5)
+    second = run_scenario(scenario, seed=5)
+    assert first.trace_pairs() == second.trace_pairs()
+    assert (first.outcomes, first.handoffs) == (second.outcomes, second.handoffs)
 
 
 def test_scenario_mismatch_detected():
@@ -154,18 +154,14 @@ def test_fuzz_counts_handoffs_under_a_caller_config(monkeypatch):
         Initialize(authentication=("psk-cr",), streams=(StreamRequest("echo"),))
     )
     monkeypatch.setattr(harness, "_fuzz_payload", lambda rng, mutation_class: opener)
-    config = ServerConfig(
-        registrations=(ApplicationRegistration("echo", False, lambda stream, ctx: None),),
-        token_secret=b"fuzz test token secret",
-    )
-    assert fuzz_malformed(seed=1, n=5, config=config).handoffs == 5
+    assert fuzz_malformed(seed=1, n=5).handoffs == 5
 
 
 def test_fuzz_counts_a_crash_and_closes_the_server_end(monkeypatch):
     def crash(*args):
         raise RuntimeError("driver bug")
 
-    monkeypatch.setattr(harness, "_drive_server", crash)
+    monkeypatch.setattr(agent, "_drive", crash)
     report = fuzz_malformed(seed=1, n=5)
     assert (report.crashes, report.handoffs) == (5, 0)
     assert report.responses == {"error-frame": 0, "silent-close": 5}

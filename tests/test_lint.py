@@ -66,15 +66,9 @@ def private_imports(source: str) -> list[str]:
     ]
 
 
-# The fuzzer drives single server sessions without a listener or a worker
-# pool, so it calls the agent's session driver directly.
-ALLOWED_PRIVATE_IMPORTS = {"harness.py": ["agent._drive_server"]}
-
-
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_private_imports_across_modules(path):
-    found = private_imports(path.read_text(encoding="utf-8"))
-    assert found == ALLOWED_PRIVATE_IMPORTS.get(path.name, [])
+    assert private_imports(path.read_text(encoding="utf-8")) == []
 
 
 def test_private_import_check_sees_a_private_name():

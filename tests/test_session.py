@@ -368,14 +368,9 @@ def test_predicate_evaluation_order_is_fixed():
 # --- client machine ---
 
 
-def client_env(**overrides) -> ClientEnv:
-    defaults = dict(
-        offered=("psk-cr",),
-        requests=(StreamRequest("vault"),),
-        clock=lambda: T0,
-    )
-    defaults.update(overrides)
-    return ClientEnv(**defaults)
+def client_env(offered=("psk-cr",), requests=(StreamRequest("vault"),), **overrides) -> ClientEnv:
+    initialize = Initialize(authentication=offered, streams=requests)
+    return ClientEnv(initialize=initialize, clock=lambda: T0, **overrides)
 
 
 def test_client_start_sends_initialize():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from usp.transport import FrameChannel, StreamHandle
 from usp.wire import (
     MAX_FRAME_BYTES,
+    MAX_PROTOCOLS,
     MAX_STREAMS,
     AuthData,
     Authenticate,
@@ -155,17 +156,20 @@ def test_deep_nesting_is_malformed_not_a_recursion_error(depth):
 
 
 def streams_of(count: int, kind: str = "initialize") -> dict:
+    if kind == "authentication":
+        return dict(streams_of(1), authentication=[f"p{i}" for i in range(count)])
     streams = [{"application": f"app{i}"} for i in range(count)]
     if kind == "token":
         return {"message": "token", "streams": [dict(s, token="t") for s in streams]}
     return {"message": "initialize", "authentication": ["psk-cr"], "streams": streams}
 
 
-@pytest.mark.parametrize("kind", ["initialize", "token"])
+@pytest.mark.parametrize("kind", ["initialize", "token", "authentication"])
 def test_stream_count_is_capped(kind):
-    assert len(decode_frame(frame(streams_of(MAX_STREAMS, kind))).streams) == MAX_STREAMS
+    field, cap = ("streams", MAX_STREAMS) if kind != "authentication" else (kind, MAX_PROTOCOLS)
+    assert len(getattr(decode_frame(frame(streams_of(cap, kind))), field)) == cap
     with pytest.raises(MalformedMessage) as exc:
-        decode_frame(frame(streams_of(MAX_STREAMS + 1, kind)))
+        decode_frame(frame(streams_of(cap + 1, kind)))
     assert exc.value.kind is MalformedKind.SCHEMA_VIOLATION
 
 
@@ -175,6 +179,10 @@ def test_no_encoder_builds_more_streams_than_the_decoder_takes():
         Initialize(authentication=("psk-cr",), streams=streams)
     with pytest.raises(ValueError):
         Token(streams=streams)
+    protocols = tuple(f"p{i}" for i in range(MAX_PROTOCOLS + 1))
+    Initialize(authentication=protocols[:-1], streams=streams[:1])
+    with pytest.raises(ValueError):
+        Initialize(authentication=protocols, streams=streams[:1])
 
 
 def test_empty_auth_with_tokenless_stream_rejected():
@@ -323,6 +331,35 @@ def test_validate_structure_is_total_on_objects(obj):
         validate_structure(obj)
     except MalformedMessage:
         pass
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=10),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=10), children, max_size=4),
+    max_leaves=20,
+)
+
+
+@st.composite
+def _shapes_with_a_json_field(draw):
+    """A valid payload of each shape with one field replaced by a JSON value."""
+    name = draw(st.sampled_from(sorted(REQUIRED_FIELDS)))
+    shape = json.loads(json.dumps({"message": name, **REQUIRED_FIELDS[name]}))
+    holder = shape
+    if "streams" in shape and draw(st.booleans()):
+        holder = shape["streams"][0]
+    holder[draw(st.sampled_from(sorted(holder)))] = draw(_json_values)
+    return shape
+
+
+@given(st.one_of(_json_values, _shapes_with_a_json_field()))
+def test_decode_payload_is_total_on_nested_json(value):
+    try:
+        msg = decode_payload(json.dumps(value).encode())
+    except MalformedMessage:
+        return
+    assert isinstance(msg, (Initialize, Connect, Authenticate, Token, Error, AuthData))
 
 
 class _Chunks(StreamHandle):
