@@ -26,6 +26,11 @@ buffered.
 
 The client agent performs a single connect or a token acquisition; both
 are synchronous and return once the session is settled.
+
+The injected ``clock`` (wall time by default) only stamps tokens,
+identities and session records. Every handshake deadline is a
+time.monotonic() instant that no caller can change, so stepping the wall
+clock neither holds a silent peer open nor cuts a live handshake short.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Sequence, TextIO
+from typing import Callable, Mapping, Sequence
 from urllib.parse import urlsplit
 
 from .auth import (
@@ -90,7 +95,7 @@ from .transport import (
     FrameChannel,
     ListenerClosed,
     MemoryListener,
-    RecvTimeout,
+    ReadTimeout,
     StreamHandle,
     TcpListener,
     tcp_dial,
@@ -296,17 +301,19 @@ def _drive(
     state,
     pending: deque[SessionEvent],
     begin_auth: Callable[[str], AuthHandle | None],
-    deadline: float,
+    timeout: float,
     inbound: str,
     outbound: str,
 ) -> tuple[object, list[TraceEntry], object, Message | None]:
     """Pump one side's handshake over ``stream`` until its phase is terminal.
 
     ``step`` is server_step or client_step; ``inbound`` and ``outbound``
-    are the trace directions of received and sent frames. Returns the
+    are the trace directions of received and sent frames; the handshake
+    times out ``timeout`` seconds from now, by time.monotonic(). Returns the
     final phase, the trace, the phase held when the connection was lost
     (None if it was not) and the last message received.
     """
+    deadline = time.monotonic() + timeout
     chan = FrameChannel(stream)
     trace: list[TraceEntry] = []
     live_handle = None
@@ -318,8 +325,8 @@ def _drive(
             event: SessionEvent = pending.popleft()
         else:
             try:
-                last = chan.recv(deadline=deadline, clock=env.clock)
-            except RecvTimeout:
+                last = chan.recv(deadline=deadline)
+            except ReadTimeout:
                 event = HandshakeTimeout()
             except MalformedMessage as exc:
                 trace.append(TraceEntry(inbound, MALFORMED_ENTRY))
@@ -400,7 +407,6 @@ class ServerHandle:
         handlers: Mapping[str, Handler],
         handshake_timeout: float,
         observer: Callable[[SessionRecord], None] | None = None,
-        log: TextIO | None = None,
     ):
         self._listener = listener
         self._env = env
@@ -408,7 +414,6 @@ class ServerHandle:
         self._handlers = handlers
         self._timeout = handshake_timeout
         self._observer = observer
-        self._log = log
         self._lock = threading.Lock()
         self._records: list[SessionRecord] = []
         self._handoffs = 0
@@ -480,7 +485,7 @@ class ServerHandle:
         return True
 
     def _run_session(self, stream: StreamHandle) -> None:
-        """Drive one handshake on ``stream``, run the handler on a handoff, log it."""
+        """Drive one handshake on ``stream``, run the handler on a handoff, record it."""
         env = self._env
         started_at = env.clock()
         try:
@@ -493,7 +498,7 @@ class ServerHandle:
                 lambda protocol: _begin_auth(
                     self._registry, "server", AuthConfig(rng=env.rng), protocol
                 ),
-                started_at + self._timeout,
+                self._timeout,
                 CLIENT_TO_SERVER,
                 SERVER_TO_CLIENT,
             )
@@ -528,9 +533,6 @@ class ServerHandle:
             self._live_streams.discard(stream)
         if self._observer is not None:
             self._observer(record)
-        if self._log is not None:
-            self._log.write(json.dumps(record.to_dict()) + "\n")
-            self._log.flush()
 
     def shutdown(self, timeout: float = 5.0) -> None:
         """Stop accepting, close live streams and wait for the workers.
@@ -563,7 +565,6 @@ def serve(
     rng: random.Random | None = None,
     registry: Mapping[str, AuthProtocol] | None = None,
     observer: Callable[[SessionRecord], None] | None = None,
-    log: TextIO | None = None,
 ) -> ServerHandle:
     """Serve USP sessions from ``listener`` until shutdown().
 
@@ -573,7 +574,7 @@ def serve(
     waiting in accept. Workers live until shutdown(), so the thread count
     is the peak number of concurrent sessions plus one. A handler is
     invoked exactly once per successful handshake, with the live stream
-    and the established identity.
+    and the established identity. ``observer`` gets each session's record.
     """
     if registry is None:
         registry = make_registry(psk_protocol(config.psk_secrets))
@@ -587,7 +588,6 @@ def serve(
         {r.application: r.handler for r in config.registrations},
         config.handshake_timeout,
         observer=observer,
-        log=log,
     )
 
 
@@ -757,7 +757,7 @@ def _client_handshake(
             initial_client_state(),
             deque([Start()]),
             lambda protocol: _begin_auth(registry, "client", config, protocol),
-            env.clock() + timeout,
+            timeout,
             SERVER_TO_CLIENT,
             CLIENT_TO_SERVER,
         )

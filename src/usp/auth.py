@@ -41,6 +41,9 @@ ANONYMOUS_IDENTITY = "anonymous"
 
 PSK_PROTOCOL_NAME = "psk-cr"
 _CHALLENGE_BYTES = 32
+# Checked against when the identity is unknown, so that a rejection costs
+# one HMAC either way and its timing does not say which identities exist.
+_DUMMY_PSK = bytes(32)
 
 
 class TokenError(UspError):
@@ -395,10 +398,11 @@ class _PskServerHandle(AuthHandle):
         except UnicodeDecodeError:
             return AuthStep(status=AuthStatus.FAIL, reason="malformed response")
         key = self._secrets.get(identity)
+        expected = hmac.digest(_DUMMY_PSK if key is None else key, self._challenge, "sha256")
+        matched = hmac.compare_digest(mac, expected)
         if key is None:
             return AuthStep(status=AuthStatus.FAIL, reason="unknown identity")
-        expected = hmac.digest(key, self._challenge, "sha256")
-        if not hmac.compare_digest(mac, expected):
+        if not matched:
             return AuthStep(status=AuthStatus.FAIL, reason="bad response")
         return AuthStep(status=AuthStatus.SUCCESS, identity=identity)
 

@@ -81,6 +81,12 @@ def _credentials_from(args) -> Credentials | None:
     return Credentials(identity=args.identity, key=key)
 
 
+def _print_record(record) -> None:
+    """Write one session record to stdout as a JSON line."""
+    sys.stdout.write(json.dumps(record.to_dict()) + "\n")
+    sys.stdout.flush()
+
+
 def _cmd_serve(args) -> int:
     try:
         config = load_server_config(args.config)
@@ -94,7 +100,7 @@ def _cmd_serve(args) -> int:
         print(f"bind error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        handle = serve(listener, config, log=sys.stdout)
+        handle = serve(listener, config, observer=_print_record)
     except ValueError as exc:  # a supported_auth protocol with no implementation
         listener.close()
         print(f"config error: {exc}", file=sys.stderr)

@@ -350,16 +350,14 @@ def run_scenario(
     clock = VirtualClock()
     server_rng = random.Random(seed)
     client_rng = random.Random(seed + 1)
-    counter = [0]
 
-    def counting_handler(stream, ctx) -> None:
-        counter[0] += 1
+    def wait_for_hangup(stream, ctx) -> None:
         # Scenario handlers serve no application traffic; wait for the
         # client to hang up so the session record is final.
         while stream.read(4096):
             pass
 
-    config = _test_config(counting_handler)
+    config = _test_config(wait_for_hangup)
 
     if transport == "memory":
         listener = MemoryListener()
@@ -388,7 +386,7 @@ def run_scenario(
         name=scenario.name,
         traces=tuple(r.trace for r in records),
         outcomes=tuple(r.outcome for r in records),
-        handoffs=counter[0],
+        handoffs=handle.handoff_count,
     )
     if check:
         problem = diff_scenario(scenario, result)

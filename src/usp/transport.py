@@ -35,8 +35,6 @@ from dataclasses import dataclass
 from .errors import UspError
 from .wire import HEADER_SIZE, Message, decode_frame, encode_frame, frame_length
 
-DEFAULT_POLL_INTERVAL = 0.02
-
 # poll() takes a C int of milliseconds; longer waits are cut to this.
 _POLL_MAX_MS = 2**31 - 1
 
@@ -67,10 +65,6 @@ class ListenerClosed(TransportError):
 
 class ReadTimeout(TransportError):
     """A read gave up before any byte arrived; the stream is still usable."""
-
-
-class RecvTimeout(TransportError):
-    """FrameChannel.recv hit its deadline before a full frame arrived."""
 
 
 class StreamHandle:
@@ -332,9 +326,9 @@ class FrameChannel:
 
     recv() reads exactly one frame's bytes, so nothing beyond the current
     frame is ever consumed from the stream; buffering is bounded by
-    MAX_FRAME_BYTES plus the header. A deadline is expressed in the
-    caller's clock and checked between short real-time polls, which lets
-    virtual clocks drive timeouts without real waiting.
+    MAX_FRAME_BYTES plus the header. A deadline is a time.monotonic()
+    instant; each read waits at most until then, and no read starts once
+    it has passed, so a peer that trickles bytes is cut off too.
     """
 
     def __init__(self, stream: StreamHandle):
@@ -343,34 +337,29 @@ class FrameChannel:
     def send(self, msg: Message) -> None:
         self.stream.write(encode_frame(msg))
 
-    def recv(self, deadline: float | None = None, clock=time.time) -> Message | None:
+    def recv(self, deadline: float | None = None) -> Message | None:
         """Next decoded message, or None when the peer closed cleanly.
 
         Raises MalformedMessage for undecodable frames, ConnectionLost for
-        mid-frame EOF, RecvTimeout when the deadline passes first.
+        mid-frame EOF, ReadTimeout when the deadline passes first.
         """
-        header = self._read_exact(HEADER_SIZE, deadline, clock, eof_ok=True)
+        header = self._read_exact(HEADER_SIZE, deadline, eof_ok=True)
         if header is None:
             return None
-        body = self._read_exact(frame_length(header), deadline, clock, eof_ok=False)
+        body = self._read_exact(frame_length(header), deadline, eof_ok=False)
         assert body is not None
         return decode_frame(header + body)
 
-    def _read_exact(
-        self, n: int, deadline: float | None, clock, eof_ok: bool
-    ) -> bytes | None:
+    def _read_exact(self, n: int, deadline: float | None, eof_ok: bool) -> bytes | None:
         buf = b""
         while len(buf) < n:
             if deadline is None:
                 timeout = None
             else:
-                if clock() >= deadline:
-                    raise RecvTimeout("deadline passed")
-                timeout = DEFAULT_POLL_INTERVAL
-            try:
-                chunk = self.stream.read(n - len(buf), timeout=timeout)
-            except ReadTimeout:
-                continue
+                timeout = deadline - time.monotonic()
+                if timeout <= 0:
+                    raise ReadTimeout("deadline passed")
+            chunk = self.stream.read(n - len(buf), timeout=timeout)
             if chunk == b"":
                 if eof_ok and not buf:
                     return None

@@ -373,6 +373,33 @@ def test_psk_unknown_identity_fails():
     assert verdict.reason == "unknown identity"
 
 
+def test_psk_rejection_costs_one_hmac_whether_or_not_the_identity_exists(monkeypatch):
+    def server_digests(identity, key):
+        server = psk_protocol({"alice": b"k" * 16}).begin("server", AuthConfig(rng=random.Random(0)))
+        client = psk_protocol().begin(
+            "client", AuthConfig(rng=random.Random(1), identity=identity, key=key)
+        )
+        client.step(None)
+        response = client.step(server.step(None).outgoing).outgoing
+        calls = []
+        real = hmac.digest
+        with monkeypatch.context() as patch:
+            patch.setattr(hmac, "digest", lambda *args: calls.append(1) or real(*args))
+            verdict = server.step(response)
+        assert verdict.status is AuthStatus.FAIL
+        return len(calls)
+
+    assert server_digests("mallory", b"k" * 16) == server_digests("alice", b"w" * 16) == 1
+
+
+def test_psk_unknown_identity_fails_even_with_the_dummy_key_mac():
+    # An unknown identity is checked against an all-zero dummy key; a MAC
+    # made under that key must not let it in.
+    _, verdict = run_loopback({"alice": b"k" * 16}, "mallory", bytes(32))
+    assert verdict.status is AuthStatus.FAIL
+    assert verdict.reason == "unknown identity"
+
+
 def test_psk_challenge_is_deterministic_under_seeded_rng():
     proto = psk_protocol({"alice": b"k"})
     first = proto.begin("server", AuthConfig(rng=random.Random(9))).step(None)

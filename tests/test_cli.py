@@ -1,6 +1,7 @@
 """CLI tests: exit codes and end-to-end command behavior."""
 
 import json
+import select
 import signal
 import socket
 import subprocess
@@ -45,8 +46,9 @@ def server_files(tmp_path):
 
 
 @pytest.fixture
-def running_server(server_files):
-    config_path, key_path, wrong_key_path = server_files
+def serve_process(server_files):
+    """A `usp serve` child process on a free port, as (process, port)."""
+    config_path = server_files[0]
     port = free_port()
     proc = subprocess.Popen(
         [sys.executable, "-m", "usp.cli", "serve", "--config", str(config_path),
@@ -63,7 +65,7 @@ def running_server(server_files):
             break
         if proc.poll() is not None:
             raise AssertionError(f"serve exited early: {proc.stderr.read()}")
-    yield port, key_path, wrong_key_path
+    yield proc, port
     proc.send_signal(signal.SIGINT)
     try:
         proc.wait(10)
@@ -72,6 +74,12 @@ def running_server(server_files):
         proc.wait()
     proc.stdout.close()
     proc.stderr.close()
+
+
+@pytest.fixture
+def running_server(server_files, serve_process):
+    _, key_path, wrong_key_path = server_files
+    return serve_process[1], key_path, wrong_key_path
 
 
 def run_cli(*args, stdin: bytes = b"") -> subprocess.CompletedProcess:
@@ -91,6 +99,20 @@ def test_connect_echoes_stdio(running_server):
     ctx = json.loads(result.stderr.splitlines()[0])
     assert ctx["identity"] == "anonymous"
     assert ctx["method"] == "none_required"
+
+
+def test_session_log_lines(serve_process):
+    proc, port = serve_process
+    result = run_cli("connect", f"usp://127.0.0.1:{port}/echo", stdin=b"logged")
+    assert result.returncode == 0
+    # The server writes the record once the client has hung up.
+    ready, _, _ = select.select([proc.stdout], [], [], 10)
+    assert ready, "no session record on stdout"
+    entry = json.loads(proc.stdout.readline())
+    assert entry["outcome"] == "handed_off"
+    assert entry["application"] == "echo"
+    assert entry["identity"] == "anonymous"
+    assert entry["trace"][0] == {"dir": "c2s", "msg": "initialize"}
 
 
 def test_connect_authenticated(running_server):

@@ -80,3 +80,50 @@ def test_private_import_check_sees_a_private_name():
         "    from .auth import _sign\n"
     )
     assert private_imports(source) == ["wire._HEADER", "auth._sign"]
+
+
+def _is_time_time(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "time"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "time"
+    )
+
+
+def wall_clock_reads(source: str) -> list[str]:
+    """Uses of ``time.time`` other than as the default in ``clock or time.time``.
+
+    Wall time may stamp tokens and records through an injected clock; a
+    deadline read from it would move when the clock is stepped.
+    """
+    tree = ast.parse(source)
+    defaults = {
+        id(node.values[1])
+        for node in ast.walk(tree)
+        if isinstance(node, ast.BoolOp)
+        and isinstance(node.op, ast.Or)
+        and len(node.values) == 2
+        and isinstance(node.values[0], ast.Name)
+        and node.values[0].id == "clock"
+    }
+    lines = sorted(
+        node.lineno for node in ast.walk(tree) if _is_time_time(node) and id(node) not in defaults
+    )
+    return [f"line {line}" for line in lines]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_wall_clock_is_only_a_default_clock(path):
+    assert wall_clock_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_wall_clock_check_sees_a_deadline():
+    source = (
+        "import time\n"
+        "def f(clock=None):\n"
+        "    clock = clock or time.time\n"
+        "    deadline = time.time() + 5\n"
+        "    return other or time.time\n"
+    )
+    assert wall_clock_reads(source) == ["line 4", "line 5"]
