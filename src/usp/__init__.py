@@ -7,7 +7,6 @@ it before a single byte reaches the hosted application.
 from .agent import (
     ApplicationRegistration,
     AuthFailed,
-    Credentials,
     DEFAULT_PORT,
     NoSharedProtocol,
     RemoteError,
@@ -20,6 +19,7 @@ from .agent import (
 )
 from .auth import (
     AuthMethod,
+    Credentials,
     IdentityContext,
     issue_token,
     negotiate,

@@ -49,12 +49,12 @@ from urllib.parse import urlsplit
 from .auth import (
     DEFAULT_TOKEN_TTL,
     PSK_PROTOCOL_NAME,
-    AuthConfig,
     AuthHandle,
     AuthProtocol,
     AuthStatus,
     AuthStep,
     Clock,
+    Credentials,
     IdentityContext,
     NonceCache,
     make_registry,
@@ -149,14 +149,6 @@ class MalformedTarget(UspError):
 
 
 @dataclass(frozen=True)
-class Credentials:
-    """Client-side secret for an authentication protocol run."""
-
-    identity: str
-    key: bytes
-
-
-@dataclass(frozen=True)
 class ApplicationRegistration:
     application: str
     requires_auth: bool
@@ -190,10 +182,13 @@ class ServerConfig:
         if not self.token_secret:
             raise ValueError("token_secret is empty")
         for identity, key in self.psk_secrets.items():
+            if not identity:
+                raise ValueError("psk identity is empty")
             if not key:
                 raise ValueError(f"psk key for {identity!r} is empty")
-        if self.token_ttl <= 0:
-            raise ValueError(f"token_ttl must be positive, not {self.token_ttl}")
+        # issued_at + token_ttl must fit a token's u64 expiry for any clock below 2**63.
+        if not 0 < self.token_ttl < 2**63:
+            raise ValueError(f"token_ttl must be in 1..2**63-1, not {self.token_ttl}")
         if not self.handshake_timeout > 0:  # NaN too: it would never expire
             raise ValueError(f"handshake_timeout must be positive, not {self.handshake_timeout}")
 
@@ -282,13 +277,6 @@ def _safe_step(handle, incoming: bytes | None) -> AuthStep:
         return handle.step(incoming)
     except Exception as exc:
         return AuthStep(status=AuthStatus.FAIL, reason=f"auth protocol error: {exc}")
-
-
-def _begin_auth(
-    registry: Mapping[str, AuthProtocol], role: str, config: AuthConfig, protocol: str
-) -> AuthHandle | None:
-    proto = registry.get(protocol)
-    return None if proto is None else proto.begin(role, config)
 
 
 # --- the handshake loop, shared by both sides ---
@@ -495,9 +483,7 @@ class ServerHandle:
                 env,
                 initial_server_state(),
                 deque(),
-                lambda protocol: _begin_auth(
-                    self._registry, "server", AuthConfig(rng=env.rng), protocol
-                ),
+                lambda protocol: self._registry[protocol].server(env.rng),
                 self._timeout,
                 CLIENT_TO_SERVER,
                 SERVER_TO_CLIENT,
@@ -624,15 +610,16 @@ def _flag(obj: dict, key: str) -> bool:
     return _typed(obj, key, (bool,), "true or false", False)
 
 
-def load_server_config(path: str | Path, handler: Handler = echo_handler) -> ServerConfig:
+def load_server_config(path: str | Path) -> ServerConfig:
     """Build a ServerConfig from a JSON file.
 
-    Every configured application is served by ``handler`` (the echo demo
-    by default); real deployments register handlers in code. A relative
-    ``psk_store`` path is resolved against the config file's directory.
-    A key the loader does not know, at the top level or in an application
-    entry, is an error rather than silently ignored, and so is a value of
-    the wrong JSON type, such as a quoted flag or a fractional token_ttl.
+    Every configured application is served by echo_handler, the demo;
+    real deployments build a ServerConfig with their own handlers in code.
+    A relative ``psk_store`` path is resolved against the config file's
+    directory. A key the loader does not know, at the top level or in an
+    application entry, is an error rather than silently ignored, and so is
+    a value of the wrong JSON type, such as a quoted flag or a fractional
+    token_ttl. ServerConfig's own checks apply to the values it reads.
     """
     path = Path(path)
     data = json.loads(path.read_text(encoding="utf-8"))
@@ -652,7 +639,7 @@ def load_server_config(path: str | Path, handler: Handler = echo_handler) -> Ser
             ApplicationRegistration(
                 application=name,
                 requires_auth=_flag(entry, "requires_auth"),
-                handler=handler,
+                handler=echo_handler,
             )
         )
     psk_secrets: dict[str, bytes] = {}
@@ -724,7 +711,6 @@ def _client_handshake(
     credentials: Credentials | None,
     registry: Mapping[str, AuthProtocol] | None,
     clock: Clock | None,
-    rng: random.Random | None,
     timeout: float,
     trace: list[TraceEntry] | None,
     stop_after_token: bool = False,
@@ -743,11 +729,6 @@ def _client_handshake(
     )
     if registry is None:
         registry = make_registry(psk_protocol())
-    config = AuthConfig(
-        rng=rng or random.SystemRandom(),
-        identity=credentials.identity if credentials else None,
-        key=credentials.key if credentials else None,
-    )
     stream = _open_endpoint(endpoint, timeout)
     try:
         state, steps, lost_in, last = _drive(
@@ -756,7 +737,10 @@ def _client_handshake(
             env,
             initial_client_state(),
             deque([Start()]),
-            lambda protocol: _begin_auth(registry, "client", config, protocol),
+            # None for a protocol the client offered but cannot run.
+            lambda protocol: (
+                registry[protocol].client(credentials) if protocol in registry else None
+            ),
             timeout,
             SERVER_TO_CLIENT,
             CLIENT_TO_SERVER,
@@ -778,7 +762,6 @@ def connect(
     token: str | None = None,
     registry: Mapping[str, AuthProtocol] | None = None,
     clock: Clock | None = None,
-    rng: random.Random | None = None,
     timeout: float = DEFAULT_HANDSHAKE_TIMEOUT,
     trace: list[TraceEntry] | None = None,
 ) -> tuple[StreamHandle, IdentityContext]:
@@ -791,7 +774,7 @@ def connect(
     """
     requests = (StreamRequest(application=application, token=token),)
     stream, state, lost_in, _ = _client_handshake(
-        endpoint, offered, requests, credentials, registry, clock, rng, timeout, trace
+        endpoint, offered, requests, credentials, registry, clock, timeout, trace
     )
     if isinstance(state, Connected):
         return stream, state.context
@@ -807,7 +790,6 @@ def acquire_token(
     credentials: Credentials | None = None,
     registry: Mapping[str, AuthProtocol] | None = None,
     clock: Clock | None = None,
-    rng: random.Random | None = None,
     timeout: float = DEFAULT_HANDSHAKE_TIMEOUT,
     trace: list[TraceEntry] | None = None,
 ) -> list[tuple[str, str]]:
@@ -819,7 +801,7 @@ def acquire_token(
     """
     requests = [StreamRequest(application=app) for app in applications]
     stream, state, lost_in, last = _client_handshake(
-        endpoint, offered, requests, credentials, registry, clock, rng, timeout, trace,
+        endpoint, offered, requests, credentials, registry, clock, timeout, trace,
         stop_after_token=True,
     )
     stream.close()

@@ -332,13 +332,17 @@ class AuthStep:
         return self.status is not AuthStatus.PENDING
 
 
-@dataclass
-class AuthConfig:
-    """Per-session inputs to an authentication handle."""
+@dataclass(frozen=True)
+class Credentials:
+    """Client-side secret for an authentication protocol run."""
 
-    rng: random.Random
-    identity: str | None = None
-    key: bytes | None = None
+    identity: str
+    key: bytes
+
+    def __post_init__(self) -> None:
+        # No protocol can report success for an empty identity.
+        if not self.identity:
+            raise ValueError("identity is empty")
 
 
 class AuthHandle:
@@ -370,12 +374,19 @@ class AuthHandle:
 
 
 class AuthProtocol:
-    """A named authentication protocol usable by either side of a session."""
+    """A named authentication protocol usable by either side of a session.
+
+    server() starts the verifying side of one run, drawing on the server's
+    RNG; client() starts the proving side with the caller's credentials.
+    """
 
     name: str = ""
     max_rounds: int = 8
 
-    def begin(self, role: str, config: AuthConfig) -> AuthHandle:
+    def server(self, rng: random.Random) -> AuthHandle:
+        raise NotImplementedError
+
+    def client(self, credentials: Credentials | None) -> AuthHandle:
         raise NotImplementedError
 
 
@@ -408,25 +419,25 @@ class _PskServerHandle(AuthHandle):
 
 
 class _PskClientHandle(AuthHandle):
-    def __init__(self, identity: str | None, key: bytes | None, max_rounds: int):
+    def __init__(self, credentials: Credentials | None, max_rounds: int):
         super().__init__(max_rounds)
-        self._identity = identity
-        self._key = key
+        self._credentials = credentials
         self._started = False
 
     def _advance(self, incoming: bytes | None) -> AuthStep:
-        if self._identity is None or self._key is None:
+        if self._credentials is None:
             return AuthStep(status=AuthStatus.FAIL, reason="no credentials")
         if not self._started and incoming is None:
             self._started = True
             return AuthStep(status=AuthStatus.PENDING)
         if incoming is None:
             return AuthStep(status=AuthStatus.FAIL, reason="missing challenge")
-        mac = hmac.digest(self._key, incoming, "sha256")
+        identity = self._credentials.identity
+        mac = hmac.digest(self._credentials.key, incoming, "sha256")
         return AuthStep(
             status=AuthStatus.SUCCESS,
-            outgoing=self._identity.encode("utf-8") + mac,
-            identity=self._identity,
+            outgoing=identity.encode("utf-8") + mac,
+            identity=identity,
         )
 
 
@@ -445,12 +456,11 @@ class PskChallengeResponse(AuthProtocol):
     def __init__(self, shared_secrets: Mapping[str, bytes] | None = None):
         self._secrets = dict(shared_secrets or {})
 
-    def begin(self, role: str, config: AuthConfig) -> AuthHandle:
-        if role == "server":
-            return _PskServerHandle(self._secrets, config.rng, self.max_rounds)
-        if role == "client":
-            return _PskClientHandle(config.identity, config.key, self.max_rounds)
-        raise AuthProtocolError(f"unknown role: {role!r}")
+    def server(self, rng: random.Random) -> AuthHandle:
+        return _PskServerHandle(self._secrets, rng, self.max_rounds)
+
+    def client(self, credentials: Credentials | None) -> AuthHandle:
+        return _PskClientHandle(credentials, self.max_rounds)
 
 
 def psk_protocol(shared_secrets: Mapping[str, bytes] | None = None) -> PskChallengeResponse:

@@ -15,7 +15,6 @@ from pathlib import Path
 
 from .agent import (
     DEFAULT_PORT,
-    Credentials,
     MalformedTarget,
     acquire_token,
     connect,
@@ -23,6 +22,7 @@ from .agent import (
     parse_target,
     serve,
 )
+from .auth import Credentials
 from .errors import UspError
 from .transport import BindError, ConnectionLost, StreamHandle, tcp_listen
 
@@ -191,7 +191,7 @@ def _cmd_token(args) -> int:
 
 
 def _cmd_scenario(args) -> int:
-    from .harness import canonical_scenarios, diff_scenario, run_scenario
+    from .harness import ScenarioMismatch, canonical_scenarios, run_scenario
 
     scenarios = canonical_scenarios()
     if args.name == "all":
@@ -204,13 +204,13 @@ def _cmd_scenario(args) -> int:
         return EXIT_USAGE
     failures = 0
     for scenario in selected:
-        result = run_scenario(scenario, transport=args.transport, seed=args.seed, check=False)
-        problem = diff_scenario(scenario, result)
-        if problem is None:
-            print(f"PASS {scenario.name}")
-        else:
+        try:
+            run_scenario(scenario, transport=args.transport, seed=args.seed)
+        except ScenarioMismatch as exc:
             failures += 1
-            print(f"FAIL {scenario.name}: {problem}")
+            print(f"FAIL {exc}")
+        else:
+            print(f"PASS {scenario.name}")
     return EXIT_FAILURE if failures else EXIT_OK
 
 

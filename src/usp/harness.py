@@ -30,7 +30,6 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .agent import (
     ApplicationRegistration,
-    Credentials,
     Handler,
     ServerConfig,
     acquire_token,
@@ -41,6 +40,7 @@ from .auth import (
     PSK_PROTOCOL_NAME,
     AuthStatus,
     AuthStep,
+    Credentials,
     issue_token,
     validate_token,
 )
@@ -295,7 +295,6 @@ def _run_client_step(
     step: dict,
     endpoint_open: Callable,
     clock: VirtualClock,
-    rng: random.Random,
     acquired: dict[str, str],
 ) -> None:
     action = step["action"]
@@ -313,7 +312,6 @@ def _run_client_step(
             offered=offered,
             credentials=credentials,
             clock=clock,
-            rng=rng,
         )
         acquired.update(dict(tokens))
         return
@@ -327,7 +325,6 @@ def _run_client_step(
                 credentials=credentials,
                 token=token,
                 clock=clock,
-                rng=rng,
             )
         except UspError:
             return
@@ -336,20 +333,14 @@ def _run_client_step(
     raise ValueError(f"unknown client step action: {action!r}")
 
 
-def run_scenario(
-    scenario: Scenario,
-    transport: str = "memory",
-    seed: int = 0,
-    check: bool = True,
-) -> ScenarioResult:
-    """Execute one scenario and (by default) verify it against expectations.
+def run_scenario(scenario: Scenario, transport: str = "memory", seed: int = 0) -> ScenarioResult:
+    """Execute one scenario and verify it against its expectations.
 
-    Fully deterministic on the memory transport: virtual clock, seeded
-    RNG, and strictly sequential client steps.
+    Raises ScenarioMismatch, naming the first divergence, when the run
+    differs. Fully deterministic on the memory transport: virtual clock,
+    server RNG seeded with ``seed``, and strictly sequential client steps.
     """
     clock = VirtualClock()
-    server_rng = random.Random(seed)
-    client_rng = random.Random(seed + 1)
 
     def wait_for_hangup(stream, ctx) -> None:
         # Scenario handlers serve no application traffic; wait for the
@@ -372,11 +363,11 @@ def run_scenario(
     else:
         raise ValueError(f"unknown transport: {transport!r}")
 
-    handle = serve(listener, config, clock=clock, rng=server_rng)
+    handle = serve(listener, config, clock=clock, rng=random.Random(seed))
     acquired: dict[str, str] = {}
     try:
         for i, step in enumerate(scenario.client):
-            _run_client_step(step, endpoint_open, clock, client_rng, acquired)
+            _run_client_step(step, endpoint_open, clock, acquired)
             _wait_for_records(handle, i + 1)
     finally:
         handle.shutdown()
@@ -388,10 +379,9 @@ def run_scenario(
         outcomes=tuple(r.outcome for r in records),
         handoffs=handle.handoff_count,
     )
-    if check:
-        problem = diff_scenario(scenario, result)
-        if problem is not None:
-            raise ScenarioMismatch(f"{scenario.name}: {problem}")
+    problem = diff_scenario(scenario, result)
+    if problem is not None:
+        raise ScenarioMismatch(f"{scenario.name}: {problem}")
     return result
 
 
@@ -420,13 +410,6 @@ def diff_scenario(scenario: Scenario, result: ScenarioResult) -> str | None:
     if result.handoffs != scenario.expected_handoffs:
         return f"handoffs: expected {scenario.expected_handoffs}, got {result.handoffs}"
     return None
-
-
-def run_all_scenarios(transport: str = "memory", seed: int = 0) -> dict[str, ScenarioResult]:
-    return {
-        name: run_scenario(sc, transport=transport, seed=seed)
-        for name, sc in canonical_scenarios().items()
-    }
 
 
 # --- malformed-input fuzzing ---
@@ -561,7 +544,6 @@ def _classify_response(client) -> str:
 
 @dataclass
 class EnumerationReport:
-    max_events: int
     states_explored: int
     transitions: int
     handoffs_observed: int
@@ -579,8 +561,8 @@ def _event_label(event: SessionEvent) -> str:
     return type(event).__name__
 
 
-def default_enumeration_env(seed: int = 0) -> ServerEnv:
-    return _test_config(lambda stream, ctx: None).env(lambda: START_EPOCH, random.Random(seed))
+def default_enumeration_env() -> ServerEnv:
+    return _test_config(lambda stream, ctx: None).env(lambda: START_EPOCH, random.Random(0))
 
 
 def build_event_alphabet(secret: bytes, now: float) -> list[SessionEvent]:
@@ -716,7 +698,6 @@ def enumerate_machine(
             raise CounterexampleFound(f"unreached close causes: {missing}", ())
 
     return EnumerationReport(
-        max_events=max_events,
         states_explored=len(seen),
         transitions=transitions,
         handoffs_observed=handoffs,

@@ -331,7 +331,6 @@ class SendInitialize:
 
 @dataclass(frozen=True)
 class AwaitResponse:
-    presented_token: bool
     auth_protocol: str | None = None
     auth_identity: str | None = None
 
@@ -385,8 +384,7 @@ def client_step(
 
     if isinstance(state, SendInitialize):
         if isinstance(event, Start):
-            presented = any(r.token is not None for r in env.initialize.streams)
-            return AwaitResponse(presented_token=presented), [Send(env.initialize)]
+            return AwaitResponse(), [Send(env.initialize)]
         return _violation(state, _event_name(event))
 
     if isinstance(state, AwaitResponse):
@@ -411,11 +409,7 @@ def client_step(
             return Closed(CloseCause.TOKEN_ACQUIRED), []
         msg = replace(env.initialize, streams=event.message.streams)
         return (
-            AwaitResponse(
-                presented_token=True,
-                auth_protocol=state.protocol,
-                auth_identity=state.identity,
-            ),
+            AwaitResponse(auth_protocol=state.protocol, auth_identity=state.identity),
             [Send(msg)],
         )
     return _violation(state, _event_name(event))

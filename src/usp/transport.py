@@ -2,7 +2,7 @@
 
 One stream implementation, SocketStream, serves both transports: TCP for
 real interop and an AF_UNIX socketpair (memory_pair, MemoryListener) for
-in-process tests, optionally cut at a scripted byte by a FaultPlan. The
+in-process tests, optionally cut at a scripted byte (drop_at_byte). The
 contract: ordered, unduplicated bytes; read() returns b"" at
 end-of-stream; writes after the connection died raise ConnectionLost;
 pending() says whether bytes are waiting without consuming any.
@@ -30,7 +30,6 @@ import select
 import socket
 import threading
 import time
-from dataclasses import dataclass
 
 from .errors import UspError
 from .wire import HEADER_SIZE, Message, decode_frame, encode_frame, frame_length
@@ -91,20 +90,6 @@ class StreamHandle:
         raise NotImplementedError
 
 
-@dataclass
-class FaultPlan:
-    """Scripted cut for an in-memory pair.
-
-    drop_at_byte: the connection dies when a write would push the pair's
-    total transferred byte count, both directions together, past this
-    limit. The bytes up to the limit are delivered, both ends are shut
-    down, the writer gets ConnectionLost and the peer reads the prefix
-    and then end-of-stream.
-    """
-
-    drop_at_byte: int | None = None
-
-
 class _Cut:
     """Byte budget shared by the two ends of a faulty memory pair."""
 
@@ -129,16 +114,19 @@ class _Cut:
                 pass
 
 
-def memory_pair(fault_plan: FaultPlan | None = None) -> tuple[SocketStream, SocketStream]:
+def memory_pair(drop_at_byte: int | None = None) -> tuple[SocketStream, SocketStream]:
     """A connected in-process duplex pair (a, b) over an AF_UNIX socketpair.
 
-    With a FaultPlan the pair is cut at its byte limit: the prefix is
-    delivered and both ends are shut down (see FaultPlan).
+    With ``drop_at_byte`` the connection dies when a write would push the
+    pair's total transferred byte count, both directions together, past
+    that limit. The bytes up to the limit are delivered, both ends are
+    shut down, the writer gets ConnectionLost and the peer reads the
+    prefix and then end-of-stream.
     """
     sock_a, sock_b = socket.socketpair(socket.AF_UNIX, socket.SOCK_STREAM)
-    if fault_plan is None or fault_plan.drop_at_byte is None:
+    if drop_at_byte is None:
         return SocketStream(sock_a, "memory:a"), SocketStream(sock_b, "memory:b")
-    cut = _Cut(fault_plan.drop_at_byte, (sock_a, sock_b))
+    cut = _Cut(drop_at_byte, (sock_a, sock_b))
     return _CutStream(sock_a, "memory:a", cut), _CutStream(sock_b, "memory:b", cut)
 
 
@@ -151,11 +139,11 @@ class MemoryListener:
         self._queue: queue.Queue = queue.Queue()
         self._closed = False
 
-    def connect(self, fault_plan: FaultPlan | None = None) -> SocketStream:
-        """Dial this listener; returns the client end."""
+    def connect(self, drop_at_byte: int | None = None) -> SocketStream:
+        """Dial this listener; returns the client end, cut as memory_pair says."""
         if self._closed:
             raise ConnectRefused("listener is closed")
-        client, server = memory_pair(fault_plan)
+        client, server = memory_pair(drop_at_byte)
         self._queue.put(server)
         return client
 
@@ -233,7 +221,7 @@ class SocketStream(StreamHandle):
 
 
 class _CutStream(SocketStream):
-    """One end of a memory pair that a FaultPlan cuts."""
+    """One end of a memory pair cut at a scripted byte."""
 
     def __init__(self, sock: socket.socket, label: str, cut: _Cut):
         super().__init__(sock, label)
@@ -247,7 +235,7 @@ class _CutStream(SocketStream):
         if room:
             super().write(data[:room])
         self._cut.shut()
-        raise ConnectionLost(f"fault plan cut the connection at byte {self._cut.limit}")
+        raise ConnectionLost(f"scripted cut at byte {self._cut.limit}")
 
 
 class TcpListener:

@@ -27,12 +27,21 @@ from usp.agent import (
     parse_target,
     serve,
 )
-from usp.auth import AuthMethod, issue_token, validate_token
+from usp.auth import (
+    AuthHandle,
+    AuthMethod,
+    AuthProtocol,
+    AuthStatus,
+    AuthStep,
+    decode_token,
+    issue_token,
+    make_registry,
+    validate_token,
+)
 from usp.errors import UspError
 from usp.harness import VirtualClock
 from usp.transport import (
     ConnectionLost,
-    FaultPlan,
     FrameChannel,
     MemoryListener,
     StreamHandle,
@@ -79,12 +88,10 @@ class Fixture:
 
     def connect(self, application, **kwargs):
         kwargs.setdefault("clock", self.clock)
-        kwargs.setdefault("rng", random.Random(1))
         return connect(self.listener, application, **kwargs)
 
     def acquire(self, applications, **kwargs):
         kwargs.setdefault("clock", self.clock)
-        kwargs.setdefault("rng", random.Random(2))
         kwargs.setdefault("credentials", Credentials("alice", ALICE_KEY))
         return acquire_token(self.listener, applications, **kwargs)
 
@@ -202,12 +209,10 @@ def test_client_checks_its_initialize_before_it_dials(server):
 
 
 def test_client_closes_its_stream_when_the_handshake_raises(server):
-    from usp.auth import AuthProtocol, make_registry
-
     class BrokenPsk(AuthProtocol):
         name = "psk-cr"
 
-        def begin(self, role, config):
+        def client(self, credentials):
             raise RuntimeError("begin failed")
 
     with pytest.raises(RuntimeError, match="begin failed"):
@@ -279,7 +284,7 @@ def test_concurrent_sessions_are_isolated(server):
     lock = threading.Lock()
 
     def one_session(i):
-        stream, _ = server.connect("echo", rng=random.Random(100 + i))
+        stream, _ = server.connect("echo")
         payload = f"msg-{i}".encode()
         stream.write(payload)
         data = stream.read(100)
@@ -340,9 +345,9 @@ def test_cut_during_server_connect_is_connection_lost(server):
         Initialize(authentication=("psk-cr",), streams=(StreamRequest("echo"),))
     )
     # The cut falls inside the server's connect frame.
-    stream = server.listener.connect(FaultPlan(drop_at_byte=len(first) + 3))
+    stream = server.listener.connect(drop_at_byte=len(first) + 3)
     with pytest.raises(ConnectionLost):
-        connect(stream, "echo", clock=server.clock, rng=random.Random(1))
+        connect(stream, "echo", clock=server.clock)
     record = server.wait_records(1)[0]
     assert record.outcome == "connection_lost"
     assert [(e.direction, e.name) for e in record.trace] == [("c2s", "initialize")]
@@ -376,7 +381,7 @@ class _Tap(StreamHandle):
 def _handshake_frames(server, **kwargs):
     """(direction, name, encoded size) of each frame of one clean connect."""
     tap = _Tap(server.listener.connect())
-    stream, _ = connect(tap, "vault", clock=server.clock, rng=random.Random(1), **kwargs)
+    stream, _ = connect(tap, "vault", clock=server.clock, **kwargs)
     stream.close()
     unread = {"c2s": b"", "s2c": b""}
     frames = []
@@ -404,11 +409,11 @@ def test_client_exception_at_every_cut_of_an_authenticated_connect(server):
     start = 0
     for k, (_, _, size) in enumerate(frames):
         for offset in range(max(start, 1), start + size):
-            stream = server.listener.connect(FaultPlan(drop_at_byte=offset))
+            stream = server.listener.connect(drop_at_byte=offset)
             trace = []
             with pytest.raises(UspError) as info:
                 connect(stream, "vault", credentials=alice, clock=server.clock,
-                        rng=random.Random(1), trace=trace)
+                        trace=trace)
             assert type(info.value) is expected[k], (offset, names[k])
             assert [(e.direction, e.name) for e in trace] == names[:k], offset
         start += size
@@ -475,7 +480,7 @@ def test_backward_clock_step_does_not_extend_a_handshake():
 def test_forward_clock_step_does_not_cut_a_handshake_short():
     server, stream = _silent_peer_after_clock_step(3600, handshake_timeout=2.0)
     try:
-        connect(stream, "echo", clock=server.clock, rng=random.Random(1))
+        connect(stream, "echo", clock=server.clock)
         stream.close()
         (record,) = server.wait_records(1)
         assert record.outcome == "handed_off"
@@ -593,7 +598,7 @@ def test_handler_exception_is_isolated():
     listener = MemoryListener()
     handle = serve(listener, config, clock=VirtualClock(), rng=random.Random(0))
     try:
-        stream, _ = connect(listener, "echo", clock=VirtualClock(), rng=random.Random(1))
+        stream, _ = connect(listener, "echo", clock=VirtualClock())
         stream.close()
         deadline = time.monotonic() + 5
         while time.monotonic() < deadline and not handle.records():
@@ -602,7 +607,7 @@ def test_handler_exception_is_isolated():
         assert record.outcome == "handed_off"
         assert "handler bug" in (record.detail or "")
         # The server still accepts new sessions.
-        stream, _ = connect(listener, "echo", clock=VirtualClock(), rng=random.Random(2))
+        stream, _ = connect(listener, "echo", clock=VirtualClock())
         stream.close()
     finally:
         handle.shutdown()
@@ -637,7 +642,7 @@ def test_sequential_sessions_reuse_worker_threads():
     listener, handle = _serve_echo_app(handler)
     try:
         for i in range(20):
-            stream, _ = connect(listener, "echo", clock=VirtualClock(), rng=random.Random(i))
+            stream, _ = connect(listener, "echo", clock=VirtualClock())
             stream.write(b"ping")
             assert stream.read(10) == b"ping"
             stream.close()
@@ -668,7 +673,7 @@ def test_busy_sessions_never_delay_a_new_handshake():
         # Each handler blocks until all 8 have been handed off, so every
         # handshake after the first needs a new worker at once. The client's
         # real-time clock turns a handshake left waiting into a timeout.
-        streams = [connect(listener, "echo", rng=random.Random(i), timeout=5)[0] for i in range(8)]
+        streams = [connect(listener, "echo", timeout=5)[0] for _ in range(8)]
         for stream in streams:
             assert stream.read(10, timeout=5) == b"passed"
             stream.close()
@@ -689,10 +694,8 @@ def test_pool_serves_every_connection_under_switch_stress():
     done = []
 
     def client(i):
-        for j in range(10):
-            stream, _ = connect(
-                listener, "echo", clock=VirtualClock(), rng=random.Random(100 * i + j)
-            )
+        for _ in range(10):
+            stream, _ = connect(listener, "echo", clock=VirtualClock())
             stream.write(b"x")
             assert stream.read(10) == b"x"
             stream.close()
@@ -729,8 +732,8 @@ def test_shutdown_timeout_bounds_the_whole_call():
     listener, handle = _serve_echo_app(stubborn)
     streams = []
     try:
-        for i in range(4):
-            streams.append(connect(listener, "echo", clock=VirtualClock(), rng=random.Random(i))[0])
+        for _ in range(4):
+            streams.append(connect(listener, "echo", clock=VirtualClock())[0])
         for _ in range(4):
             assert started.acquire(timeout=5)
         began = time.monotonic()
@@ -744,13 +747,88 @@ def test_shutdown_timeout_bounds_the_whole_call():
     assert elapsed < 0.9
 
 
-def test_internal_error_record_spans_the_session():
-    from usp.auth import AuthProtocol, make_registry
+class _NameOnly(AuthProtocol):
+    """A toy one-round protocol in which the client speaks first.
 
+    The client sends its identity; the server accepts "carol" alone.
+    """
+
+    name = "toy"
+    max_rounds = 2
+
+    def server(self, rng):
+        return _NameOnlyServer(self.max_rounds)
+
+    def client(self, credentials):
+        return _NameOnlyClient(credentials, self.max_rounds)
+
+
+class _NameOnlyServer(AuthHandle):
+    def _advance(self, incoming):
+        if incoming is None:
+            return AuthStep(status=AuthStatus.PENDING)
+        if incoming == b"carol":
+            return AuthStep(status=AuthStatus.SUCCESS, identity="carol")
+        return AuthStep(status=AuthStatus.FAIL, reason="unknown identity")
+
+
+class _NameOnlyClient(AuthHandle):
+    def __init__(self, credentials, max_rounds):
+        super().__init__(max_rounds)
+        self._identity = credentials.identity
+
+    def _advance(self, incoming):
+        return AuthStep(
+            status=AuthStatus.SUCCESS, outgoing=self._identity.encode(), identity=self._identity
+        )
+
+
+def test_a_plugged_in_protocol_completes_a_handshake_on_both_sides():
+    contexts = []
+
+    def handler(stream, ctx):
+        contexts.append(ctx)
+        echo_handler(stream, ctx)
+
+    config = ServerConfig(
+        registrations=(ApplicationRegistration("vault", True, handler),),
+        token_secret=SECRET,
+        supported_auth=("toy",),
+    )
+    registry = make_registry(_NameOnly())
+    listener = MemoryListener()
+    handle = serve(listener, config, clock=VirtualClock(), rng=random.Random(0), registry=registry)
+    try:
+        stream, ctx = connect(
+            listener,
+            "vault",
+            offered=("toy",),
+            credentials=Credentials("carol", b"unused"),
+            registry=registry,
+        )
+        stream.close()
+        _wait_for(lambda: len(handle.records()) == 1)
+    finally:
+        handle.shutdown()
+    (served,) = contexts
+    for got in (ctx, served):
+        assert (got.identity, got.method, got.protocol) == ("carol", AuthMethod.PROTOCOL, "toy")
+    (record,) = handle.records()
+    assert record.outcome == "handed_off"
+    assert [(e.direction, e.name) for e in record.trace if e.name != "authdata"] == [
+        ("c2s", "initialize"),
+        ("s2c", "authenticate"),
+        ("s2c", "token"),
+        ("c2s", "initialize"),
+        ("s2c", "connect"),
+    ]
+
+
+def test_internal_error_record_spans_the_session():
     class Broken(AuthProtocol):
         name = "broken"
 
-        def begin(self, role, config):
+        def server(self, rng):
             raise RuntimeError("begin failed")
 
     config = ServerConfig(
@@ -784,7 +862,7 @@ def test_observer_sees_every_record_in_order():
     listener, handle = _serve_echo_app(echo_handler, observer=observed.append)
     try:
         for i in range(10):
-            stream, _ = connect(listener, "echo", clock=VirtualClock(), rng=random.Random(i))
+            stream, _ = connect(listener, "echo", clock=VirtualClock())
             stream.close()
             _wait_for(lambda: len(observed) == i + 1)
         assert len(handle.records()) == 10
@@ -816,8 +894,8 @@ class _WatchedListener(MemoryListener):
 def test_server_keeps_no_finished_stream():
     listener, handle = _serve_echo_app(echo_handler, _WatchedListener())
     try:
-        for i in range(50):
-            stream, _ = connect(listener, "echo", clock=VirtualClock(), rng=random.Random(i))
+        for _ in range(50):
+            stream, _ = connect(listener, "echo", clock=VirtualClock())
             stream.close()
         _wait_for(lambda: len(handle.records()) == 50)
         # The server is still running: neither its bookkeeping nor an idle
@@ -839,10 +917,7 @@ def test_shutdown_wakes_every_worker_waiting_in_accept():
     listener, handle = _serve_echo_app(handler, _WatchedListener())
     try:
         # Two sessions at once grow the pool to three workers.
-        streams = [
-            connect(listener, "echo", clock=VirtualClock(), rng=random.Random(i))[0]
-            for i in range(2)
-        ]
+        streams = [connect(listener, "echo", clock=VirtualClock())[0] for _ in range(2)]
         gate.wait()
         for stream in streams:
             stream.close()
@@ -911,7 +986,7 @@ def test_serve_over_tcp(server):
     handle = serve(listener, server.config, clock=server.clock, rng=random.Random(0))
     try:
         stream, ctx = connect(
-            ("127.0.0.1", listener.port), "echo", clock=server.clock, rng=random.Random(1)
+            ("127.0.0.1", listener.port), "echo", clock=server.clock
         )
         assert ctx.identity == "anonymous"
         stream.write(b"tcp bytes")
@@ -977,6 +1052,42 @@ def test_server_config_rejects_empty_secrets(bad):
     )
     with pytest.raises(ValueError, match="empty"):
         ServerConfig(**{**settings, **bad})
+
+
+def test_token_ttl_must_leave_a_token_expiry_inside_its_u64():
+    # At 2**63 the first login would crash its session at token issue;
+    # 2**63 - 1 still fits issued_at + ttl for any clock below 2**63.
+    with pytest.raises(ValueError, match="token_ttl"):
+        ServerConfig(
+            registrations=(ApplicationRegistration("vault", True, echo_handler),),
+            token_secret=SECRET,
+            token_ttl=2**63,
+        )
+    server = Fixture(token_ttl=2**63 - 1)
+    try:
+        ((application, token),) = server.acquire(["vault"])
+    finally:
+        server.shutdown()
+    assert application == "vault"
+    assert decode_token(token).expires_at == int(server.clock()) + 2**63 - 1
+
+
+def test_an_empty_psk_identity_is_rejected(tmp_path):
+    # No protocol may report success for an empty identity, so it could
+    # never log in.
+    with pytest.raises(ValueError, match="psk identity is empty"):
+        ServerConfig(
+            registrations=(ApplicationRegistration("vault", True, echo_handler),),
+            token_secret=SECRET,
+            psk_secrets={"": ALICE_KEY},
+        )
+    (tmp_path / "psks.json").write_text(json.dumps({"": ALICE_KEY.hex()}))
+    config_path = tmp_path / "server.json"
+    config_path.write_text(
+        json.dumps({"applications": [{"application": "vault"}], "psk_store": "psks.json"})
+    )
+    with pytest.raises(ValueError, match="psk identity is empty"):
+        load_server_config(config_path)
 
 
 def test_load_server_config_rejects_an_empty_psk_key(tmp_path):

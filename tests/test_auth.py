@@ -13,13 +13,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from usp.auth import (
-    AuthConfig,
     AuthHandle,
     AuthMethod,
     AuthProtocolError,
     AuthStatus,
     ApplicationMismatch,
     BadSignature,
+    Credentials,
     IdentityToken,
     NonceCache,
     TokenError,
@@ -337,8 +337,8 @@ def test_nonce_cache_first_use_only():
 def run_loopback(server_secrets, identity, key, seed=0):
     """Drive both sides of psk-cr directly, byte for byte."""
     proto = psk_protocol(server_secrets)
-    server = proto.begin("server", AuthConfig(rng=random.Random(seed)))
-    client = proto.begin("client", AuthConfig(rng=random.Random(seed + 1), identity=identity, key=key))
+    server = proto.server(random.Random(seed))
+    client = proto.client(Credentials(identity, key))
 
     challenge = server.step(None)
     assert challenge.status is AuthStatus.PENDING
@@ -375,10 +375,8 @@ def test_psk_unknown_identity_fails():
 
 def test_psk_rejection_costs_one_hmac_whether_or_not_the_identity_exists(monkeypatch):
     def server_digests(identity, key):
-        server = psk_protocol({"alice": b"k" * 16}).begin("server", AuthConfig(rng=random.Random(0)))
-        client = psk_protocol().begin(
-            "client", AuthConfig(rng=random.Random(1), identity=identity, key=key)
-        )
+        server = psk_protocol({"alice": b"k" * 16}).server(random.Random(0))
+        client = psk_protocol().client(Credentials(identity, key))
         client.step(None)
         response = client.step(server.step(None).outgoing).outgoing
         calls = []
@@ -402,14 +400,20 @@ def test_psk_unknown_identity_fails_even_with_the_dummy_key_mac():
 
 def test_psk_challenge_is_deterministic_under_seeded_rng():
     proto = psk_protocol({"alice": b"k"})
-    first = proto.begin("server", AuthConfig(rng=random.Random(9))).step(None)
-    second = proto.begin("server", AuthConfig(rng=random.Random(9))).step(None)
+    first = proto.server(random.Random(9)).step(None)
+    second = proto.server(random.Random(9)).step(None)
     assert first.outgoing == second.outgoing
+
+
+def test_credentials_reject_an_empty_identity():
+    # Refused before anything is dialed: no run could succeed with it.
+    with pytest.raises(ValueError, match="identity is empty"):
+        Credentials("", b"k" * 16)
 
 
 def test_psk_client_without_credentials_fails():
     proto = psk_protocol()
-    handle = proto.begin("client", AuthConfig(rng=random.Random(0)))
+    handle = proto.client(None)
     step = handle.step(None)
     assert step.status is AuthStatus.FAIL
     assert step.reason == "no credentials"
@@ -417,14 +421,14 @@ def test_psk_client_without_credentials_fails():
 
 def test_psk_malformed_response_fails():
     proto = psk_protocol({"alice": b"k"})
-    server = proto.begin("server", AuthConfig(rng=random.Random(0)))
+    server = proto.server(random.Random(0))
     server.step(None)
     assert server.step(b"short").status is AuthStatus.FAIL
 
 
 def test_step_after_terminal_raises():
     proto = psk_protocol({"alice": b"k"})
-    server = proto.begin("server", AuthConfig(rng=random.Random(0)))
+    server = proto.server(random.Random(0))
     server.step(None)
     server.step(b"x" * 40)  # terminal (fail)
     with pytest.raises(AuthProtocolError):

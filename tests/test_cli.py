@@ -208,8 +208,9 @@ def test_serve_bad_config_exits_2(tmp_path):
     [
         {"applications": [{"application": 5}]},
         {"applications": [{"application": "echo"}], "supported_auth": ["x"]},
+        {"applications": [{"application": "echo"}], "token_ttl": 2**63},
     ],
-    ids=["application-not-a-string", "protocol-not-implemented"],
+    ids=["application-not-a-string", "protocol-not-implemented", "token-ttl-too-large"],
 )
 def test_serve_config_error_exits_2_without_a_traceback(tmp_path, config):
     config_path = tmp_path / "server.json"
@@ -254,6 +255,20 @@ def test_scenario_all_prints_seven_pass_lines(capsys):
 def test_scenario_single(capsys):
     assert main(["scenario", "token-passing"]) == 0
     assert capsys.readouterr().out.strip() == "PASS token-passing"
+
+
+def test_scenario_mismatch_prints_fail_and_exits_1(capsys, monkeypatch):
+    from dataclasses import replace
+
+    from usp import harness
+
+    real = harness.canonical_scenarios()
+    tampered = replace(real["unauthenticated-direct"], expected_handoffs=3)
+    monkeypatch.setattr(harness, "canonical_scenarios", lambda: {**real, tampered.name: tampered})
+    assert main(["scenario", "unauthenticated-direct"]) == 1
+    assert capsys.readouterr().out.strip() == (
+        "FAIL unauthenticated-direct: handoffs: expected 3, got 1"
+    )
 
 
 def test_scenario_unknown_exits_2(capsys):

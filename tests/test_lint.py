@@ -127,3 +127,69 @@ def test_wall_clock_check_sees_a_deadline():
         "    return other or time.time\n"
     )
     assert wall_clock_reads(source) == ["line 4", "line 5"]
+
+
+def _is_dataclass_decorator(node: ast.expr) -> bool:
+    target = node.func if isinstance(node, ast.Call) else node
+    return (isinstance(target, ast.Name) and target.id == "dataclass") or (
+        isinstance(target, ast.Attribute) and target.attr == "dataclass"
+    )
+
+
+def write_only_fields(source: str, readers: list[str]) -> list[str]:
+    """Fields of ``@dataclass`` classes in ``source`` that no reader reads.
+
+    A field counts as read when its name appears as a loaded attribute
+    (``x.field``) anywhere in ``readers``. A field that is only ever set,
+    by a constructor or an assignment, is state nothing depends on.
+    """
+    read = {
+        node.attr
+        for text in readers
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        f"{cls.name}.{stmt.target.id}"
+        for cls in ast.walk(ast.parse(source))
+        if isinstance(cls, ast.ClassDef) and any(map(_is_dataclass_decorator, cls.decorator_list))
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        if stmt.target.id not in read
+    ]
+
+
+def test_every_dataclass_field_is_read():
+    root = SRC.parent.parent
+    readers = [
+        path.read_text(encoding="utf-8")
+        for folder in (SRC, root / "tests", root / "perfbench")
+        for path in sorted(folder.glob("*.py"))
+    ]
+    flagged = [
+        f"{path.name}: {field}"
+        for path in sorted(SRC.glob("*.py"))
+        for field in write_only_fields(path.read_text(encoding="utf-8"), readers)
+    ]
+    assert flagged == []
+
+
+def test_write_only_field_check_sees_a_field_only_set():
+    source = (
+        "import dataclasses\n"
+        "from dataclasses import dataclass, field\n"
+        "@dataclass(frozen=True)\n"
+        "class Point:\n"
+        "    x: int\n"
+        "    y: int = 0\n"
+        "    tags: list = field(default_factory=list)\n"
+        "@dataclasses.dataclass\n"
+        "class Plain:\n"
+        "    z: int\n"
+        "class NotData:\n"
+        "    w: int\n"
+        "def f(p: Point, q: Plain) -> int:\n"
+        "    q.z = p.y = 1\n"
+        "    return p.x + len(p.tags)\n"
+    )
+    assert write_only_fields(source, [source]) == ["Point.y", "Plain.z"]

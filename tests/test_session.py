@@ -284,7 +284,7 @@ def test_oversize_closes_quietly_even_in_strict_mode():
 
 def test_client_oversize_closes_quietly():
     state, actions = client_step(
-        AwaitResponse(presented_token=False),
+        AwaitResponse(),
         FrameMalformed(MalformedKind.OVERSIZE),
         client_env(),
     )
@@ -375,7 +375,7 @@ def client_env(offered=("psk-cr",), requests=(StreamRequest("vault"),), **overri
 
 def test_client_start_sends_initialize():
     state, actions = client_step(initial_client_state(), Start(), client_env())
-    assert state == AwaitResponse(presented_token=False)
+    assert state == AwaitResponse()
     (sent,) = sends(actions)
     assert sent == Initialize(authentication=("psk-cr",), streams=(StreamRequest("vault"),))
 
@@ -393,7 +393,7 @@ def test_client_direct_accept():
 
 def test_client_authenticate_begins_offered_protocol():
     state, actions = client_step(
-        AwaitResponse(presented_token=False),
+        AwaitResponse(),
         FrameReceived(Authenticate(protocol="psk-cr")),
         client_env(),
     )
@@ -403,7 +403,7 @@ def test_client_authenticate_begins_offered_protocol():
 
 def test_client_rejects_unoffered_protocol_quietly():
     state, actions = client_step(
-        AwaitResponse(presented_token=False),
+        AwaitResponse(),
         FrameReceived(Authenticate(protocol="never-offered")),
         client_env(),
     )
@@ -426,9 +426,7 @@ def test_client_token_triggers_reinitialize():
     state, actions = client_step(
         AwaitToken(protocol="psk-cr", identity="alice"), FrameReceived(issued), env
     )
-    assert state == AwaitResponse(
-        presented_token=True, auth_protocol="psk-cr", auth_identity="alice"
-    )
+    assert state == AwaitResponse(auth_protocol="psk-cr", auth_identity="alice")
     (sent,) = sends(actions)
     assert sent == Initialize(
         authentication=("psk-cr",), streams=(StreamRequest("vault", "tok-1"),)
@@ -437,7 +435,7 @@ def test_client_token_triggers_reinitialize():
 
 def test_client_connect_after_auth_reports_protocol_method():
     env = client_env()
-    state = AwaitResponse(presented_token=True, auth_protocol="psk-cr", auth_identity="alice")
+    state = AwaitResponse(auth_protocol="psk-cr", auth_identity="alice")
     state, actions = client_step(state, FrameReceived(Connect(application="vault")), env)
     assert isinstance(state, Connected)
     ctx = state.context
@@ -446,7 +444,7 @@ def test_client_connect_after_auth_reports_protocol_method():
     assert ctx.protocol == "psk-cr"
 
 
-def test_client_connect_with_presented_token_reports_token_method():
+def test_client_connect_with_a_token_reports_token_method():
     token = good_token(identity="erin")
     env = client_env(requests=(StreamRequest("vault", token),))
     state, _ = client_step(initial_client_state(), Start(), env)
@@ -468,7 +466,7 @@ def test_client_stop_after_token():
 
 def test_client_error_closes_with_remote_error():
     state, actions = client_step(
-        AwaitResponse(presented_token=False),
+        AwaitResponse(),
         FrameReceived(Error(error="application not hosted: ghost")),
         client_env(),
     )
@@ -479,7 +477,7 @@ def test_client_error_closes_with_remote_error():
 
 def test_client_connect_for_unrequested_application_is_violation():
     state, _ = client_step(
-        AwaitResponse(presented_token=False),
+        AwaitResponse(),
         FrameReceived(Connect(application="other")),
         client_env(),
     )
@@ -488,7 +486,7 @@ def test_client_connect_for_unrequested_application_is_violation():
 
 def test_client_wrong_phase_and_terminal():
     state, actions = client_step(
-        AwaitResponse(presented_token=False),
+        AwaitResponse(),
         FrameReceived(Token(streams=(StreamRequest("vault", "t"),))),
         client_env(),
     )
@@ -500,7 +498,7 @@ def test_client_wrong_phase_and_terminal():
 
 def test_client_timeout():
     state, actions = client_step(
-        AwaitResponse(presented_token=False), HandshakeTimeout(), client_env()
+        AwaitResponse(), HandshakeTimeout(), client_env()
     )
     assert isinstance(state, Closed) and state.cause is CloseCause.TIMEOUT
     assert sends(actions) == []

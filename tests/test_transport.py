@@ -12,7 +12,6 @@ from usp.transport import (
     ConnectRefused,
     ConnectTimeout,
     ConnectionLost,
-    FaultPlan,
     FrameChannel,
     ListenerClosed,
     MemoryListener,
@@ -37,8 +36,8 @@ def pair():
     """memory_pair(), with every end it made closed after the test."""
     ends = []
 
-    def make(fault_plan=None):
-        made = memory_pair(fault_plan)
+    def make(drop_at_byte=None):
+        made = memory_pair(drop_at_byte)
         ends.extend(made)
         return made
 
@@ -141,7 +140,7 @@ def test_blocking_read_wakes_on_write(pair):
 
 
 def test_fault_plan_drops_at_byte(pair):
-    a, b = pair(FaultPlan(drop_at_byte=5))
+    a, b = pair(drop_at_byte=5)
     a.write(b"abcde")
     assert b.read(10) == b"abcde"
     with pytest.raises(ConnectionLost):
@@ -152,7 +151,7 @@ def test_fault_plan_drops_at_byte(pair):
 
 
 def test_fault_plan_counts_both_directions(pair):
-    a, b = pair(FaultPlan(drop_at_byte=5))
+    a, b = pair(drop_at_byte=5)
     a.write(b"abc")
     b.write(b"de")
     with pytest.raises(ConnectionLost):
@@ -160,7 +159,7 @@ def test_fault_plan_counts_both_directions(pair):
 
 
 def test_fault_plan_delivers_prefix_then_eof(pair):
-    a, b = pair(FaultPlan(drop_at_byte=5))
+    a, b = pair(drop_at_byte=5)
     with pytest.raises(ConnectionLost):
         a.write(b"abcdef")
     assert b.read(10, timeout=1) == b"abcde"
@@ -168,7 +167,7 @@ def test_fault_plan_delivers_prefix_then_eof(pair):
 
 
 def test_fault_plan_cut_mid_frame_ends_peer_recv_at_once(pair):
-    a, b = pair(FaultPlan(drop_at_byte=6))
+    a, b = pair(drop_at_byte=6)
     with pytest.raises(ConnectionLost):
         FrameChannel(a).send(Connect(application="echo"))
     started = time.monotonic()
