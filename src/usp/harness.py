@@ -25,7 +25,7 @@ import random
 import struct
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .agent import (
@@ -64,6 +64,7 @@ from .transport import (
     ConnectionLost,
     FrameChannel,
     MemoryListener,
+    StreamHandle,
     tcp_dial,
     tcp_listen,
 )
@@ -80,16 +81,6 @@ from .wire import (
     Token,
     encode_frame,
     message_name,
-)
-
-SCENARIO_NAMES = (
-    "unauthenticated-direct",
-    "authenticated-direct",
-    "token-passing",
-    "no-shared-protocol",
-    "auth-failure",
-    "not-hosted",
-    "malformed-message",
 )
 
 START_EPOCH = 1_700_000_000.0
@@ -134,9 +125,56 @@ class VirtualClock:
         with self._lock:
             self._now += seconds
 
-    def set(self, now: float) -> None:
-        with self._lock:
-            self._now = now
+
+# One client session of a scenario, called as step(dial, clock, acquired):
+# it opens its stream with dial() and puts any tokens it gets into acquired.
+ClientStep = Callable[[Callable[[], StreamHandle], VirtualClock, dict[str, str]], None]
+
+
+def _connect(
+    application: str,
+    key: bytes | None = None,
+    offered: tuple[str, ...] = (PSK_PROTOCOL_NAME,),
+    with_acquired_token: bool = False,
+) -> ClientStep:
+    """Connect to ``application``, as alice when ``key`` is given."""
+
+    def step(dial, clock, acquired):
+        stream, _ctx = connect(
+            dial(),
+            application,
+            offered=offered,
+            credentials=None if key is None else Credentials("alice", key),
+            token=acquired.get(application) if with_acquired_token else None,
+            clock=clock,
+        )
+        stream.close()
+
+    return step
+
+
+def _acquire(applications: Sequence[str], key: bytes) -> ClientStep:
+    """Acquire tokens for ``applications`` as alice."""
+
+    def step(dial, clock, acquired):
+        acquired.update(acquire_token(dial(), applications, credentials=Credentials("alice", key)))
+
+    return step
+
+
+def _raw(payload: bytes) -> ClientStep:
+    """Write ``payload`` and read until the server closes."""
+
+    def step(dial, clock, acquired):
+        stream = dial()
+        try:
+            stream.write(payload)
+            while stream.read(4096, timeout=_STEP_WAIT_SECONDS):
+                pass
+        finally:
+            stream.close()
+
+    return step
 
 
 @dataclass(frozen=True)
@@ -144,7 +182,7 @@ class Scenario:
     """A scripted session (or two) against ``_test_config``, with its expected outcome."""
 
     name: str
-    client: tuple[dict, ...]
+    client: tuple[ClientStep, ...]
     expected_traces: tuple[tuple[tuple[str, str], ...], ...]
     expected_outcomes: tuple[str, ...]
     expected_handoffs: int
@@ -152,7 +190,6 @@ class Scenario:
 
 @dataclass
 class ScenarioResult:
-    name: str
     traces: tuple[tuple[TraceEntry, ...], ...]
     outcomes: tuple[str, ...]
     handoffs: int
@@ -164,24 +201,18 @@ class ScenarioResult:
 def canonical_scenarios() -> dict[str, Scenario]:
     """The seven canonical flows, keyed by name, in their standard order."""
     c2s, s2c = CLIENT_TO_SERVER, SERVER_TO_CLIENT
+    alice, wrong = bytes.fromhex(ALICE_KEY_HEX), bytes.fromhex(WRONG_KEY_HEX)
     scenarios = [
         Scenario(
             name="unauthenticated-direct",
-            client=({"action": "connect", "application": "echo"},),
+            client=(_connect("echo"),),
             expected_traces=(((c2s, "initialize"), (s2c, "connect")),),
             expected_outcomes=("handed_off",),
             expected_handoffs=1,
         ),
         Scenario(
             name="authenticated-direct",
-            client=(
-                {
-                    "action": "connect",
-                    "application": "vault",
-                    "identity": "alice",
-                    "key_hex": ALICE_KEY_HEX,
-                },
-            ),
+            client=(_connect("vault", alice),),
             expected_traces=(
                 (
                     (c2s, "initialize"),
@@ -198,15 +229,7 @@ def canonical_scenarios() -> dict[str, Scenario]:
         ),
         Scenario(
             name="token-passing",
-            client=(
-                {
-                    "action": "acquire",
-                    "applications": ["vault"],
-                    "identity": "alice",
-                    "key_hex": ALICE_KEY_HEX,
-                },
-                {"action": "connect", "application": "vault", "token_from_acquired": True},
-            ),
+            client=(_acquire(["vault"], alice), _connect("vault", with_acquired_token=True)),
             expected_traces=(
                 (
                     (c2s, "initialize"),
@@ -222,23 +245,14 @@ def canonical_scenarios() -> dict[str, Scenario]:
         ),
         Scenario(
             name="no-shared-protocol",
-            client=(
-                {"action": "connect", "application": "vault", "offered": ["x25519-psk"]},
-            ),
+            client=(_connect("vault", offered=("x25519-psk",)),),
             expected_traces=(((c2s, "initialize"), (s2c, "error")),),
             expected_outcomes=("no_shared_protocol",),
             expected_handoffs=0,
         ),
         Scenario(
             name="auth-failure",
-            client=(
-                {
-                    "action": "connect",
-                    "application": "vault",
-                    "identity": "alice",
-                    "key_hex": WRONG_KEY_HEX,
-                },
-            ),
+            client=(_connect("vault", wrong),),
             expected_traces=(
                 (
                     (c2s, "initialize"),
@@ -252,20 +266,23 @@ def canonical_scenarios() -> dict[str, Scenario]:
         ),
         Scenario(
             name="not-hosted",
-            client=({"action": "connect", "application": "ghost"},),
+            client=(_connect("ghost"),),
             expected_traces=(((c2s, "initialize"), (s2c, "error")),),
             expected_outcomes=("not_hosted",),
             expected_handoffs=0,
         ),
         Scenario(
             name="malformed-message",
-            client=({"action": "raw", "payload_hex": MALFORMED_FRAME_PROBE.hex()},),
+            client=(_raw(MALFORMED_FRAME_PROBE),),
             expected_traces=(((c2s, "malformed"), (s2c, "error")),),
             expected_outcomes=("malformed",),
             expected_handoffs=0,
         ),
     ]
     return {s.name: s for s in scenarios}
+
+
+SCENARIO_NAMES = tuple(canonical_scenarios())
 
 
 def _test_config(handler: Handler) -> ServerConfig:
@@ -280,65 +297,15 @@ def _test_config(handler: Handler) -> ServerConfig:
     )
 
 
-def _run_raw_step(endpoint_open: Callable, payload: bytes) -> None:
-    stream = endpoint_open()
-    stream.write(payload)
-    try:
-        while stream.read(4096, timeout=_STEP_WAIT_SECONDS):
-            pass
-    except Exception:
-        pass
-    stream.close()
-
-
-def _run_client_step(
-    step: dict,
-    endpoint_open: Callable,
-    clock: VirtualClock,
-    acquired: dict[str, str],
-) -> None:
-    action = step["action"]
-    if action == "raw":
-        _run_raw_step(endpoint_open, bytes.fromhex(step["payload_hex"]))
-        return
-    credentials = None
-    if "identity" in step:
-        credentials = Credentials(identity=step["identity"], key=bytes.fromhex(step["key_hex"]))
-    offered = tuple(step.get("offered", (PSK_PROTOCOL_NAME,)))
-    if action == "acquire":
-        tokens = acquire_token(
-            endpoint_open(),
-            step["applications"],
-            offered=offered,
-            credentials=credentials,
-            clock=clock,
-        )
-        acquired.update(dict(tokens))
-        return
-    if action == "connect":
-        token = acquired.get(step["application"]) if step.get("token_from_acquired") else None
-        try:
-            stream, _ctx = connect(
-                endpoint_open(),
-                step["application"],
-                offered=offered,
-                credentials=credentials,
-                token=token,
-                clock=clock,
-            )
-        except UspError:
-            return
-        stream.close()
-        return
-    raise ValueError(f"unknown client step action: {action!r}")
-
-
 def run_scenario(scenario: Scenario, transport: str = "memory", seed: int = 0) -> ScenarioResult:
     """Execute one scenario and verify it against its expectations.
 
     Raises ScenarioMismatch, naming the first divergence, when the run
-    differs. Fully deterministic on the memory transport: virtual clock,
-    server RNG seeded with ``seed``, and strictly sequential client steps.
+    differs. A step that the server refuses raises a UspError, which is
+    not itself a divergence: the server's record of the refusal is what
+    is compared. Fully deterministic on the memory transport: virtual
+    clock, server RNG seeded with ``seed``, and strictly sequential
+    client steps.
     """
     clock = VirtualClock()
 
@@ -352,12 +319,12 @@ def run_scenario(scenario: Scenario, transport: str = "memory", seed: int = 0) -
 
     if transport == "memory":
         listener = MemoryListener()
-        endpoint_open: Callable = listener.connect
+        dial: Callable[[], StreamHandle] = listener.connect
     elif transport == "tcp":
         listener = tcp_listen("127.0.0.1", 0)
         port = listener.port
 
-        def endpoint_open():
+        def dial():
             return tcp_dial("127.0.0.1", port)
 
     else:
@@ -367,14 +334,16 @@ def run_scenario(scenario: Scenario, transport: str = "memory", seed: int = 0) -
     acquired: dict[str, str] = {}
     try:
         for i, step in enumerate(scenario.client):
-            _run_client_step(step, endpoint_open, clock, acquired)
+            try:
+                step(dial, clock, acquired)
+            except UspError:
+                pass
             _wait_for_records(handle, i + 1)
     finally:
         handle.shutdown()
 
     records = handle.records()
     result = ScenarioResult(
-        name=scenario.name,
         traces=tuple(r.trace for r in records),
         outcomes=tuple(r.outcome for r in records),
         handoffs=handle.handoff_count,
@@ -424,13 +393,7 @@ class FuzzReport:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "cases": self.cases,
-            "handoffs": self.handoffs,
-            "crashes": self.crashes,
-            "responses": dict(self.responses),
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 _MUTATION_CLASSES = 5

@@ -53,7 +53,7 @@ def load_golden(name: str) -> dict:
 
 
 def test_canonical_set_is_the_seven_flows():
-    assert tuple(canonical_scenarios()) == SCENARIO_NAMES
+    assert set(SCENARIO_NAMES) == {path.stem for path in GOLDEN_DIR.glob("*.json")}
 
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
@@ -96,6 +96,17 @@ def test_scenario_trace_mismatch_names_first_divergence():
     )
     with pytest.raises(ScenarioMismatch, match="session 0 entry 1"):
         run_scenario(tampered)
+
+
+def test_refused_acquire_step_is_judged_as_a_mismatch():
+    # The server records the refused acquire; it is not an error of the run.
+    scenario = canonical_scenarios()["token-passing"]
+    wrong_key = bytes.fromhex(harness.WRONG_KEY_HEX)
+    refused = harness._acquire(["vault"], wrong_key)
+    tampered = replace(scenario, client=(refused, scenario.client[1]))
+    with pytest.raises(ScenarioMismatch) as exc:
+        run_scenario(tampered)
+    assert str(exc.value) == "token-passing: session 0: expected 5 messages, got 4"
 
 
 @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
@@ -279,5 +290,3 @@ def test_virtual_clock():
     assert clock() == 100.0
     clock.advance(5)
     assert clock() == 105.0
-    clock.set(42.0)
-    assert clock() == 42.0
