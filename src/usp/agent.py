@@ -789,7 +789,6 @@ def acquire_token(
     offered: Sequence[str] = (PSK_PROTOCOL_NAME,),
     credentials: Credentials | None = None,
     registry: Mapping[str, AuthProtocol] | None = None,
-    clock: Clock | None = None,
     timeout: float = DEFAULT_HANDSHAKE_TIMEOUT,
     trace: list[TraceEntry] | None = None,
 ) -> list[tuple[str, str]]:
@@ -801,7 +800,7 @@ def acquire_token(
     """
     requests = [StreamRequest(application=app) for app in applications]
     stream, state, lost_in, last = _client_handshake(
-        endpoint, offered, requests, credentials, registry, clock, timeout, trace,
+        endpoint, offered, requests, credentials, registry, None, timeout, trace,
         stop_after_token=True,
     )
     stream.close()

@@ -150,6 +150,7 @@ class IdentityToken:
 
 _U16 = struct.Struct(">H")
 _TIMES = struct.Struct(">QQ")
+_TIME_LIMIT = 2**64
 # Issue and expiry times, nonce and signature: the fixed-size record tail.
 _TAIL_BYTES = _TIMES.size + NONCE_BYTES + SIGNATURE_BYTES
 
@@ -187,12 +188,21 @@ def issue_token(
     """Issue a signed token binding ``identity`` to ``application`` for ``ttl`` seconds."""
     if not identity:
         raise ValueError("identity is empty")
-    if ttl <= 0:
-        raise ValueError("ttl must be positive")
-    issued_at = int(clock())
+    # The record holds both times as u64 and both names behind a u16 length.
+    if not 0 < ttl < _TIME_LIMIT:
+        raise ValueError(f"ttl must be positive and below 2**64, not {ttl!r}")
+    now = clock()
+    if not 0 <= now < _TIME_LIMIT:
+        raise ValueError(f"clock reading {now!r} is outside [0, 2**64)")
+    issued_at = int(now)
     expires_at = issued_at + int(ttl)
+    if expires_at >= _TIME_LIMIT:
+        raise ValueError(f"expiry {expires_at} does not fit below 2**64")
     nonce = rng.randbytes(NONCE_BYTES)
-    record = _pack_record(identity, application, issued_at, expires_at, nonce)
+    try:
+        record = _pack_record(identity, application, issued_at, expires_at, nonce)
+    except struct.error:
+        raise ValueError("identity or application is longer than 65535 UTF-8 bytes") from None
     return IdentityToken(
         identity=identity,
         application=application,

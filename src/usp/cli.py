@@ -171,6 +171,9 @@ def _cmd_token(args) -> int:
     host, _, port = args.target.rpartition(":")
     if not host:
         host, port = args.target, str(DEFAULT_PORT)
+    if not (port.isdecimal() and int(port) <= 65535):
+        print(f"bad target: port {port!r} is not a number in 0-65535", file=sys.stderr)
+        return EXIT_USAGE
     credentials = _credentials_from(args)
     try:
         tokens = acquire_token(
@@ -179,8 +182,8 @@ def _cmd_token(args) -> int:
             offered=(args.auth,),
             credentials=credentials,
         )
-    except ValueError as exc:
-        print(f"bad target: {exc}", file=sys.stderr)
+    except ValueError as exc:  # the initialize cannot carry the request; nothing was dialed
+        print(f"bad request: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except UspError as exc:
         print(f"token acquisition failed: {exc}", file=sys.stderr)

@@ -3,6 +3,8 @@
 import gc
 import json
 import random
+import subprocess
+import sys
 import threading
 import time
 import weakref
@@ -91,7 +93,6 @@ class Fixture:
         return connect(self.listener, application, **kwargs)
 
     def acquire(self, applications, **kwargs):
-        kwargs.setdefault("clock", self.clock)
         kwargs.setdefault("credentials", Credentials("alice", ALICE_KEY))
         return acquire_token(self.listener, applications, **kwargs)
 
@@ -968,6 +969,74 @@ def test_server_retries_accept_after_emfile(flaky_listener):
         assert all(worker.is_alive() for worker in handle._workers)
     finally:
         handle.shutdown()
+
+
+# A TCP server whose process has no free descriptor when serve() starts
+# and gets them back 0.2 s later. Every name is imported and the listener
+# bound before the descriptors are taken: those need descriptors too.
+_EMFILE_SERVER = """
+import errno, json, os, queue, resource, time
+from usp.agent import ApplicationRegistration, ServerConfig, serve
+from usp.transport import tcp_listen
+
+resource.setrlimit(resource.RLIMIT_NOFILE, (64, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
+listener = tcp_listen("127.0.0.1", 0)
+real_accept, emfile_accepts = listener.accept, []
+
+def accept():
+    try:
+        return real_accept()
+    except OSError as exc:
+        emfile_accepts.append(exc.errno == errno.EMFILE)
+        raise
+
+listener.accept = accept
+records = queue.Queue()
+config = ServerConfig(
+    registrations=(ApplicationRegistration("echo", False, lambda stream, ctx: None),),
+    token_secret=b"emfile test secret",
+)
+held = []
+while True:
+    try:
+        held.append(os.open(os.devnull, os.O_RDONLY))
+    except OSError:
+        break
+handle = serve(listener, config, observer=records.put)
+print(listener.port, flush=True)
+time.sleep(0.2)
+for fd in held:
+    os.close(fd)
+record = records.get(timeout=10)
+handle.shutdown()
+print(json.dumps({"outcome": record.outcome, "emfile_accepts": emfile_accepts}), flush=True)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs Linux RLIMIT_NOFILE and accept()")
+def test_server_accepts_again_once_descriptors_free_up():
+    # The client is this process: it needs a descriptor the server lacks.
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _EMFILE_SERVER],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        port = int(proc.stdout.readline())
+        stream, ctx = connect(("127.0.0.1", port), "echo", timeout=5)
+        stream.close()
+        out, err = proc.communicate(timeout=10)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 0, err
+    assert ctx.application == "echo"
+    report = json.loads(out)
+    assert report["outcome"] == "handed_off"
+    # The worker met EMFILE, and nothing else, before it accepted.
+    assert report["emfile_accepts"] and all(report["emfile_accepts"])
 
 
 def test_shutdown_wakes_a_worker_backing_off_from_accept(flaky_listener):

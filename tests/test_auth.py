@@ -195,6 +195,17 @@ def test_issue_rejects_bad_inputs():
         issue_token("", "echo", 10, clock_at(T0), SECRET, random.Random(0))
     with pytest.raises(ValueError):
         issue_token("a", "echo", 0, clock_at(T0), SECRET, random.Random(0))
+    # Inputs the record's u64 times and u16 name lengths cannot hold.
+    too_long = "é" * 32768  # 65 536 UTF-8 bytes
+    for identity, application, ttl, now in [
+        ("a", "echo", 2**64, T0),
+        ("a", "echo", 10, -5.0),
+        ("a", "echo", 10, 2.0**64),
+        (too_long, "echo", 10, T0),
+        ("a", too_long, 10, T0),
+    ]:
+        with pytest.raises(ValueError):
+            issue_token(identity, application, ttl, clock_at(now), SECRET, random.Random(0))
 
 
 def _reference_decode_token(token):

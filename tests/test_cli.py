@@ -195,6 +195,29 @@ def test_token_bad_credentials_exits_1(running_server):
     assert result.stdout == b""
 
 
+@pytest.mark.parametrize("target", ["127.0.0.1:x", "127.0.0.1:99999"])
+def test_token_bad_target_exits_2(capsys, target):
+    assert main(["token", target, "--app", "echo"]) == 2
+    assert capsys.readouterr().err.startswith("bad target: ")
+
+
+@pytest.mark.parametrize(
+    "apps, problem",
+    [
+        ([f"app{i}" for i in range(17)], "17 streams, limit 16"),
+        (["a\x01b"], "application: name contains control characters"),
+    ],
+    ids=["too-many-streams", "control-character"],
+)
+def test_token_bad_request_exits_2_before_dialing(capsys, apps, problem):
+    # Port 1 has no server: the request is refused before anything is dialed.
+    argv = ["token", "127.0.0.1:1"]
+    for app in apps:
+        argv += ["--app", app]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"bad request: {problem}\n"
+
+
 def test_serve_bad_config_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
