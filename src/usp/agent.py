@@ -70,7 +70,6 @@ from .session import (
     TERMINAL_PHASES,
     AuthInProgress,
     AuthStepResult,
-    AwaitToken,
     ClientAuthInProgress,
     ClientEnv,
     CloseCause,
@@ -78,8 +77,8 @@ from .session import (
     Connected,
     FrameMalformed,
     FrameReceived,
-    HandedOff,
     HandshakeTimeout,
+    PeerClosed,
     Send,
     ServerEnv,
     SessionEvent,
@@ -102,7 +101,6 @@ from .transport import (
 )
 from .wire import (
     AuthData,
-    Error,
     Initialize,
     MalformedMessage,
     Message,
@@ -292,20 +290,19 @@ def _drive(
     timeout: float,
     inbound: str,
     outbound: str,
-) -> tuple[object, list[TraceEntry], object, Message | None]:
+) -> tuple[object, list[TraceEntry], Message | None]:
     """Pump one side's handshake over ``stream`` until its phase is terminal.
 
     ``step`` is server_step or client_step; ``inbound`` and ``outbound``
     are the trace directions of received and sent frames; the handshake
-    times out ``timeout`` seconds from now, by time.monotonic(). Returns the
-    final phase, the trace, the phase held when the connection was lost
-    (None if it was not) and the last message received.
+    times out ``timeout`` seconds from now, by time.monotonic(). The machine
+    decides every ending; a lost connection is an event like any other.
+    Returns the final phase, the trace and the last message received.
     """
     deadline = time.monotonic() + timeout
     chan = FrameChannel(stream)
     trace: list[TraceEntry] = []
     live_handle = None
-    lost_in = None
     last = None
 
     while not isinstance(state, TERMINAL_PHASES):
@@ -320,42 +317,27 @@ def _drive(
                 trace.append(TraceEntry(inbound, MALFORMED_ENTRY))
                 event = FrameMalformed(exc.kind)
             except ConnectionLost:
-                lost_in, state = state, Closed(CloseCause.CONNECTION_LOST, "connection lost")
-                break
+                event = PeerClosed("connection lost")
             else:
                 if last is None:
-                    lost_in, state = state, Closed(CloseCause.CONNECTION_LOST, "peer closed")
-                    break
-                trace.append(TraceEntry(inbound, message_name(last)))
-                if (
-                    isinstance(last, AuthData)
-                    and isinstance(state, (AuthInProgress, ClientAuthInProgress))
-                    and live_handle is not None
-                ):
-                    event = AuthStepResult(_safe_step(live_handle, last.payload))
+                    event = PeerClosed("peer closed")
                 else:
-                    event = FrameReceived(last)
+                    trace.append(TraceEntry(inbound, message_name(last)))
+                    if isinstance(last, AuthData) and isinstance(
+                        state, (AuthInProgress, ClientAuthInProgress)
+                    ):
+                        event = AuthStepResult(_safe_step(live_handle, last.payload))
+                    else:
+                        event = FrameReceived(last, isinstance(last, Initialize) and stream.pending())
 
         state, actions = step(state, event, env)
-
-        if isinstance(state, HandedOff) and stream.pending():
-            # Bytes arrived before the connect confirmation went out: the
-            # application must never see them, so the session dies here.
-            text = "protocol violation: application data before connect"
-            try:
-                chan.send(Error(text))
-                trace.append(TraceEntry(outbound, "error"))
-            except ConnectionLost:
-                pass
-            state = Closed(CloseCause.PROTOCOL_VIOLATION, text)
-            break
 
         for action in actions:
             if isinstance(action, Send):
                 try:
                     chan.send(action.message)
                 except ConnectionLost:
-                    lost_in, state = state, Closed(CloseCause.CONNECTION_LOST, "connection lost")
+                    state, _ = step(state, PeerClosed("connection lost"), env)
                     break
                 trace.append(TraceEntry(outbound, message_name(action.message)))
             else:
@@ -369,7 +351,7 @@ def _drive(
                     first = _safe_step(live_handle, None)
                 pending.append(AuthStepResult(first))
 
-    return state, trace, lost_in, last
+    return state, trace, last
 
 
 # --- server side ---
@@ -477,7 +459,7 @@ class ServerHandle:
         env = self._env
         started_at = env.clock()
         try:
-            state, trace, _, _ = _drive(
+            state, trace, _ = _drive(
                 stream,
                 server_step,
                 env,
@@ -672,7 +654,7 @@ def load_server_config(path: str | Path) -> ServerConfig:
 # --- client side ---
 
 
-def _close_error(state: Closed, lost_in) -> UspError:
+def _close_error(state: Closed) -> UspError:
     """The exception a client raises for a handshake that ended in ``state``."""
     cause = state.cause
     detail = state.detail or ""
@@ -683,10 +665,6 @@ def _close_error(state: Closed, lost_in) -> UspError:
     if cause is CloseCause.AUTH_FAILED:
         return AuthFailed(detail or "authentication failed")
     if cause is CloseCause.CONNECTION_LOST:
-        if isinstance(lost_in, (ClientAuthInProgress, AwaitToken)):
-            # The silent teardown is the failure signal: no error frame
-            # follows a failed authentication.
-            return AuthFailed("stream closed during authentication")
         return ConnectionLost(detail or "connection lost")
     if cause is CloseCause.TIMEOUT:
         return SessionTimeout("handshake timed out")
@@ -719,8 +697,8 @@ def _client_handshake(
 
     The initialize is built first, so a request it cannot carry raises
     ValueError before anything is dialed. Returns the stream, the final
-    phase, the phase the connection was lost in (or None) and the last
-    message received; if the handshake raises, the stream is closed.
+    phase and the last message received; if the handshake raises, the
+    stream is closed.
     """
     env = ClientEnv(
         initialize=Initialize(authentication=offered, streams=requests),
@@ -731,7 +709,7 @@ def _client_handshake(
         registry = make_registry(psk_protocol())
     stream = _open_endpoint(endpoint, timeout)
     try:
-        state, steps, lost_in, last = _drive(
+        state, steps, last = _drive(
             stream,
             client_step,
             env,
@@ -750,7 +728,7 @@ def _client_handshake(
         raise
     if trace is not None:
         trace.extend(steps)
-    return stream, state, lost_in, last
+    return stream, state, last
 
 
 def connect(
@@ -773,13 +751,13 @@ def connect(
     the matching exception raised.
     """
     requests = (StreamRequest(application=application, token=token),)
-    stream, state, lost_in, _ = _client_handshake(
+    stream, state, _ = _client_handshake(
         endpoint, offered, requests, credentials, registry, clock, timeout, trace
     )
     if isinstance(state, Connected):
         return stream, state.context
     stream.close()
-    raise _close_error(state, lost_in)
+    raise _close_error(state)
 
 
 def acquire_token(
@@ -799,7 +777,7 @@ def acquire_token(
     caller moves the tokens to their final holder out of band.
     """
     requests = [StreamRequest(application=app) for app in applications]
-    stream, state, lost_in, last = _client_handshake(
+    stream, state, last = _client_handshake(
         endpoint, offered, requests, credentials, registry, None, timeout, trace,
         stop_after_token=True,
     )
@@ -813,7 +791,7 @@ def acquire_token(
     if state.cause is CloseCause.TOKEN_ACQUIRED:
         # The session closes on the token message, so it came last.
         return [(s.application, s.token or "") for s in last.streams]
-    raise _close_error(state, lost_in)
+    raise _close_error(state)
 
 
 def parse_target(url: str) -> tuple[str, int, str]:

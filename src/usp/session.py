@@ -6,10 +6,12 @@ transmit and the auth runs to begin, for a driver to execute, and the
 phase alone says how the session ended (HandedOff, Connected or Closed).
 The server machine encodes the gate this whole protocol exists for: the
 machine enters HandedOff only when the requested application needs no
-authentication or the presented token validates.
+authentication or the presented token validates, and no data waits behind
+the initialize (FrameReceived.data_behind, which a driver sets).
 
-Both machines handle a timeout, a malformed frame and an error frame alike
-in every phase (_shared_step); each step function handles only its own phases.
+Both machines handle a timeout, a malformed frame, an error frame and a lost
+connection (PeerClosed) alike in every phase (_shared_step); each step
+function handles only its own phases.
 
 The server evaluates its predicates in a fixed order for every initialize:
 hosted, requires-auth, token-valid, negotiate. Environments expose those
@@ -56,6 +58,7 @@ DEFAULT_HANDSHAKE_TIMEOUT = 10.0
 # Canonical error texts, fixed so clients can tell the failure modes apart.
 NO_SHARED_PROTOCOL_TEXT = "no shared authentication protocol"
 NOT_HOSTED_TEXT = "application not hosted"
+EARLY_DATA_TEXT = "protocol violation: application data before connect"
 
 
 class SessionError(UspError):
@@ -85,6 +88,7 @@ class Start:
 @dataclass(frozen=True)
 class FrameReceived:
     message: Message
+    data_behind: bool = False  # bytes already wait after this frame
 
 
 @dataclass(frozen=True)
@@ -102,7 +106,12 @@ class HandshakeTimeout:
     pass
 
 
-SessionEvent = Union[Start, FrameReceived, FrameMalformed, AuthStepResult, HandshakeTimeout]
+@dataclass(frozen=True)
+class PeerClosed:
+    detail: str
+
+
+SessionEvent = Union[Start, FrameReceived, FrameMalformed, AuthStepResult, HandshakeTimeout, PeerClosed]
 
 
 # --- actions ---
@@ -216,6 +225,13 @@ def _violation(state: object, event_name: str) -> tuple[Closed, list[SessionActi
 
 def _shared_step(state: object, event: SessionEvent) -> tuple[Closed, list[SessionAction]] | None:
     """The step both machines take on ``event`` in any phase, or None if they differ."""
+    # Fed in a terminal phase too, when its last frame could not be sent.
+    if isinstance(event, PeerClosed):
+        if isinstance(state, (ClientAuthInProgress, AwaitToken)):
+            # The silent teardown is the failure signal: no error frame
+            # follows a failed authentication.
+            return Closed(CloseCause.AUTH_FAILED, "stream closed during authentication"), []
+        return Closed(CloseCause.CONNECTION_LOST, event.detail), []
     if isinstance(state, TERMINAL_PHASES):
         raise SessionError(f"step on terminal state {type(state).__name__}")
     if isinstance(event, HandshakeTimeout):
@@ -232,11 +248,12 @@ def _shared_step(state: object, event: SessionEvent) -> tuple[Closed, list[Sessi
 
 
 def _server_initialize(
-    msg: Initialize,
+    event: FrameReceived,
     env: ServerEnv,
     reauth: AwaitReinitialize | None,
 ) -> tuple[ServerPhase, list[SessionAction]]:
     # Predicate order is fixed: hosted, requires-auth, token-valid, negotiate.
+    msg = event.message
     for entry in msg.streams:
         if not env.application_hosted(entry.application):
             return _refuse(CloseCause.NOT_HOSTED, f"{NOT_HOSTED_TEXT}: {entry.application}")
@@ -268,6 +285,9 @@ def _server_initialize(
             )
         contexts.append(ctx)
 
+    if event.data_behind:
+        # Bytes sent before the connect confirmation must never reach the application.
+        return _refuse(CloseCause.PROTOCOL_VIOLATION, EARLY_DATA_TEXT)
     first = contexts[0]
     return HandedOff(first), [Send(Connect(application=first.application))]
 
@@ -286,7 +306,7 @@ def server_step(
 
     if isinstance(state, AwaitInitialize):
         if isinstance(event, FrameReceived) and isinstance(event.message, Initialize):
-            return _server_initialize(event.message, env, reauth=None)
+            return _server_initialize(event, env, reauth=None)
         return _violation(state, _event_name(event))
 
     if isinstance(state, AuthInProgress):
@@ -296,7 +316,7 @@ def server_step(
 
     # AwaitReinitialize
     if isinstance(event, FrameReceived) and isinstance(event.message, Initialize):
-        return _server_initialize(event.message, env, reauth=state)
+        return _server_initialize(event, env, reauth=state)
     return _violation(state, _event_name(event))
 
 
