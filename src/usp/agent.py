@@ -3,8 +3,10 @@
 Client and server share one handshake loop, _drive: it reads a frame,
 feeds it to the pure session machine (server_step or client_step), sends
 the frames the machine asks for and starts authentication runs, until the
-phase is terminal. Only the setup around it and the reading of the final
-phase differ between the two sides. On the server, ServerHandle._run_session
+phase is terminal. The loop decides no ending: a lost connection (end of
+stream, a reset, a failed send) is a PeerClosed event for the machine.
+Only the setup around it and the reading of the final phase differ
+between the two sides. On the server, ServerHandle._run_session
 is the one caller: it drives the handshake, runs the handler after a
 handoff and writes the session record. The client builds its initialize
 before it dials, so a request that no initialize can carry fails without
@@ -20,9 +22,9 @@ replacement first if no other worker is left waiting in accept, and
 workers live until shutdown(), so the thread count is the peak number of
 concurrent sessions plus one. A worker whose accept fails (EMFILE, say)
 retries after a back-off that doubles from 5 ms up to 1 s. The handler
-never sees a byte that arrived before the handshake finished: data sent
-ahead of the connect confirmation aborts the session instead of being
-buffered.
+never sees a byte that arrived before the handshake finished: the loop
+flags an initialize with bytes queued behind it (a pending() peek), and
+the server machine refuses it where it would otherwise hand off.
 
 The client agent performs a single connect or a token acquisition; both
 are synchronous and return once the session is settled.

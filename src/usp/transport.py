@@ -19,8 +19,8 @@ write cannot undo each other's settings.
 
 FrameChannel, the package's one frame reader, binds the wire format to a
 stream: one send() per message, one recv() per frame however the bytes
-were chunked. recv() reads no byte past its frame, so the early-data
-gate, a pending() peek at handoff, sees all a client sent too early.
+were chunked. recv() reads no byte past its frame, so the driver's
+pending() peek after an initialize sees all a client sent too early.
 """
 
 from __future__ import annotations
@@ -301,7 +301,8 @@ def tcp_dial(host: str, port: int, timeout: float | None = None) -> SocketStream
     except socket.timeout:
         sock.close()
         raise ConnectTimeout(f"no connection to {host}:{port} within {timeout}s") from None
-    except OSError as exc:
+    except (OSError, OverflowError) as exc:
+        # OverflowError: a port outside 0-65535.
         sock.close()
         raise TransportError(f"cannot connect to {host}:{port}: {exc}") from None
     sock.settimeout(None)

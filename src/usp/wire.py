@@ -8,9 +8,9 @@ Frame layout:
 Every payload is a single JSON object carrying a ``"message"`` discriminator
 equal to the lowercase variant name. Encoders emit keys in the canonical
 order given by each variant's ``to_wire_dict``; decoders accept any order
-but reject unknown keys, unknown message names, and missing or mistyped
-fields. That strictness is the point: a frame is either exactly one of the
-six known shapes or it is malformed.
+but reject unknown or repeated keys, numbers, unknown message names, and
+missing or mistyped fields. That strictness is the point: a frame is
+either exactly one of the six known shapes or it is malformed.
 """
 
 from __future__ import annotations
@@ -242,6 +242,26 @@ def frame_length(header: bytes) -> int:
     return length
 
 
+def _no_number(text: str):
+    # No message holds a number, and a long integer would make int() raise.
+    raise MalformedMessage(MalformedKind.SCHEMA_VIOLATION, "number in message")
+
+
+def _object_once(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise MalformedMessage(MalformedKind.SCHEMA_VIOLATION, "duplicate key")
+    return obj
+
+
+_DECODER = json.JSONDecoder(
+    parse_int=_no_number,
+    parse_float=_no_number,
+    parse_constant=_no_number,
+    object_pairs_hook=_object_once,
+)
+
+
 def decode_frame(data: bytes) -> Message:
     """Decode exactly one complete frame.
 
@@ -270,7 +290,7 @@ def decode_payload(payload: bytes) -> Message:
     except UnicodeDecodeError:
         raise MalformedMessage(MalformedKind.NOT_JSON, "payload is not UTF-8") from None
     try:
-        value = json.loads(text)
+        value = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise MalformedMessage(MalformedKind.NOT_JSON, f"invalid JSON: {exc.msg}") from None
     except RecursionError:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 import weakref
 from pathlib import Path
 
@@ -47,6 +48,7 @@ from usp.transport import (
     FrameChannel,
     MemoryListener,
     StreamHandle,
+    TransportError,
     tcp_listen,
 )
 from usp.wire import (
@@ -569,6 +571,31 @@ def test_hostile_initialize_ends_malformed_with_an_error_frame(server, payload):
     stream.close()
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        # int() refuses a literal this long; no message holds a number anyway.
+        b'{"message":"initialize","authentication":[%s],"streams":[{"application":"echo"}]}'
+        % (b"1" * 5000),
+        # If the last key won, this would decode as a connect.
+        b'{"message":"error","message":"connect","application":"echo"}',
+    ],
+    ids=["5000-digit-integer", "duplicate-key"],
+)
+def test_json_no_message_can_hold_ends_malformed(server, body):
+    stream = server.listener.connect()
+    stream.write(hostile_initialize(body))
+    record = server.wait_records(1)[0]
+    assert (record.outcome, record.detail) == ("malformed", "malformed message: schema_violation")
+    assert [(e.direction, e.name) for e in record.trace] == [
+        ("c2s", "malformed"),
+        ("s2c", "error"),
+    ]
+    assert FrameChannel(stream).recv() == Error("malformed message: schema_violation")
+    assert server.handle.handoff_count == 0 and server.handler_calls == []
+    stream.close()
+
+
 def test_oversize_prefix_closed_silently(server):
     # Raw legacy-protocol bytes read as an absurd length prefix; the
     # session ends with no frame in reply even in strict mode.
@@ -1063,6 +1090,21 @@ def test_serve_over_tcp(server):
         stream.close()
     finally:
         handle.shutdown()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda endpoint: connect(endpoint, "echo"), lambda endpoint: acquire_token(endpoint, ["echo"])],
+    ids=["connect", "acquire_token"],
+)
+def test_dial_to_a_port_out_of_range_is_a_transport_error(call):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(TransportError):
+            call(("127.0.0.1", 99999))
+        gc.collect()
+    # The socket made for the dial is closed, not left to the collector.
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 # --- configuration ---

@@ -193,3 +193,36 @@ def test_write_only_field_check_sees_a_field_only_set():
         "    return p.x + len(p.tags)\n"
     )
     assert write_only_fields(source, [source]) == ["Point.y", "Plain.z"]
+
+
+ENDINGS = ("Closed", "Error")
+
+
+def endings_built(source: str) -> list[str]:
+    """Calls in ``source`` that construct a session ending (a Closed or an Error frame).
+
+    Only the session machines decide how a handshake ends; a driver that
+    built either would decide one itself.
+    """
+    calls = [
+        (node.lineno, getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+    ]
+    return [f"line {line}: {name}" for line, name in sorted(c for c in calls if c[1] in ENDINGS)]
+
+
+def test_the_driver_builds_no_ending():
+    assert endings_built((SRC / "agent.py").read_text(encoding="utf-8")) == []
+
+
+def test_ending_check_sees_a_closed_and_an_error():
+    source = (
+        "from . import wire\n"
+        "from .session import Closed, CloseCause\n"
+        "def f(state, chan):\n"
+        "    if isinstance(state, Closed):\n"
+        "        chan.send(wire.Error('no'))\n"
+        "    return Closed(CloseCause.TIMEOUT)\n"
+    )
+    assert endings_built(source) == ["line 5: Error", "line 6: Closed"]

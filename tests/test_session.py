@@ -24,11 +24,13 @@ from usp.session import (
     CloseCause,
     Closed,
     Connected,
+    EARLY_DATA_TEXT,
     FrameMalformed,
     FrameReceived,
     HandedOff,
     HandshakeTimeout,
     NO_SHARED_PROTOCOL_TEXT,
+    PeerClosed,
     Send,
     SendInitialize,
     ServerEnv,
@@ -502,6 +504,82 @@ def test_client_timeout():
     )
     assert isinstance(state, Closed) and state.cause is CloseCause.TIMEOUT
     assert sends(actions) == []
+
+
+# --- connection loss and early data ---
+
+HANDED_OFF = server_step(initial_server_state(), init_msg("echo"), make_env())[0]
+CONNECTED = client_step(AwaitResponse(), FrameReceived(Connect("vault")), client_env())[0]
+LOST = Closed(CloseCause.CONNECTION_LOST, "peer closed")
+AUTH_LOST = Closed(CloseCause.AUTH_FAILED, "stream closed during authentication")
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        AwaitInitialize(),
+        AuthInProgress("psk-cr", (StreamRequest("vault"),)),
+        AwaitReinitialize("alice", "psk-cr"),
+        # A terminal phase whose last frame could not be sent.
+        HANDED_OFF,
+        Closed(CloseCause.NOT_HOSTED, "application not hosted: ghost"),
+    ],
+    ids=lambda state: type(state).__name__,
+)
+def test_server_peer_closed_is_connection_lost_in_every_phase(state):
+    assert server_step(state, PeerClosed("peer closed"), make_env()) == (LOST, [])
+
+
+@pytest.mark.parametrize(
+    "state, ending",
+    [
+        (SendInitialize(), LOST),
+        (AwaitResponse(), LOST),
+        (AwaitResponse(auth_protocol="psk-cr", auth_identity="alice"), LOST),
+        # The server ends a failed authentication by closing, without an error frame.
+        (ClientAuthInProgress("psk-cr"), AUTH_LOST),
+        (AwaitToken("psk-cr", "alice"), AUTH_LOST),
+        (CONNECTED, LOST),
+        (Closed(CloseCause.AUTH_FAILED, "bad response"), LOST),
+    ],
+    ids=[
+        "SendInitialize",
+        "AwaitResponse",
+        "AwaitResponse-after-auth",
+        "ClientAuthInProgress",
+        "AwaitToken",
+        "Connected",
+        "Closed",
+    ],
+)
+def test_client_peer_closed_in_every_phase(state, ending):
+    assert client_step(state, PeerClosed("peer closed"), client_env()) == (ending, [])
+
+
+@pytest.mark.parametrize(
+    "state, event",
+    [
+        (AwaitInitialize(), init_msg("echo")),
+        (AwaitReinitialize("alice", "psk-cr"), init_msg("vault", offered=(), token=good_token())),
+    ],
+    ids=["AwaitInitialize", "AwaitReinitialize"],
+)
+def test_data_behind_the_initialize_refuses_the_handoff(state, event):
+    # The same initialize without data behind it hands off.
+    assert isinstance(server_step(state, event, make_env())[0], HandedOff)
+    early = FrameReceived(event.message, data_behind=True)
+    assert server_step(state, early, make_env()) == (
+        Closed(CloseCause.PROTOCOL_VIOLATION, EARLY_DATA_TEXT),
+        [Send(Error(EARLY_DATA_TEXT))],
+    )
+
+
+def test_data_behind_an_initialize_that_starts_auth_changes_nothing():
+    # Nothing is handed off yet; the early bytes are read as the next frame.
+    early = FrameReceived(init_msg("vault").message, data_behind=True)
+    state, actions = server_step(initial_server_state(), early, make_env())
+    assert state == AuthInProgress(protocol="psk-cr", streams=(StreamRequest("vault"),))
+    assert actions == [Send(Authenticate(protocol="psk-cr")), BeginAuth("psk-cr")]
 
 
 # --- traces ---

@@ -122,6 +122,34 @@ def test_not_json_payload():
     assert exc.value.kind is MalformedKind.NOT_JSON
 
 
+@pytest.mark.parametrize(
+    "literal",
+    [b"0", b"-1.5", b"1e400", b"NaN", b"-Infinity", b"1" * 5000],
+    ids=["int", "float", "huge-float", "NaN", "-Infinity", "5000-digits"],
+)
+def test_a_number_anywhere_is_a_schema_violation(literal):
+    # No message holds a number, so the parser refuses it before any conversion.
+    with pytest.raises(MalformedMessage) as exc:
+        decode_payload(b'{"message":"error","error":[%s]}' % literal)
+    assert exc.value.kind is MalformedKind.SCHEMA_VIOLATION
+    assert exc.value.detail == "number in message"
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        b'{"message":"connect","application":"echo","application":"echo"}',
+        b'{"message":"token","streams":[{"application":"a","token":"t","token":"u"}]}',
+    ],
+    ids=["top-level", "stream-entry"],
+)
+def test_a_repeated_key_is_a_schema_violation(payload):
+    with pytest.raises(MalformedMessage) as exc:
+        decode_payload(payload)
+    assert exc.value.kind is MalformedKind.SCHEMA_VIOLATION
+    assert exc.value.detail == "duplicate key"
+
+
 def test_non_object_top_level():
     with pytest.raises(MalformedMessage) as exc:
         validate_structure(["not", "an", "object"])
