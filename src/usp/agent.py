@@ -23,8 +23,9 @@ workers live until shutdown(), so the thread count is the peak number of
 concurrent sessions plus one. A worker whose accept fails (EMFILE, say)
 retries after a back-off that doubles from 5 ms up to 1 s. The handler
 never sees a byte that arrived before the handshake finished: the loop
-flags an initialize with bytes queued behind it (a pending() peek), and
-the server machine refuses it where it would otherwise hand off.
+hands the machine a pending() peek with each frame, and the server machine
+takes it at handoff, after its last predicate, and refuses the session if
+bytes wait.
 
 The client agent performs a single connect or a token acquisition; both
 are synchronous and return once the session is settled.
@@ -330,7 +331,7 @@ def _drive(
                     ):
                         event = AuthStepResult(_safe_step(live_handle, last.payload))
                     else:
-                        event = FrameReceived(last, isinstance(last, Initialize) and stream.pending())
+                        event = FrameReceived(last, stream.pending)
 
         state, actions = step(state, event, env)
 

@@ -7,7 +7,9 @@ phase alone says how the session ended (HandedOff, Connected or Closed).
 The server machine encodes the gate this whole protocol exists for: the
 machine enters HandedOff only when the requested application needs no
 authentication or the presented token validates, and no data waits behind
-the initialize (FrameReceived.data_behind, which a driver sets).
+the initialize. It asks that last, through FrameReceived.data_behind (for a
+driver, a pending() peek at handoff), so bytes that arrive while the
+predicates run are seen too.
 
 Both machines handle a timeout, a malformed frame, an error frame and a lost
 connection (PeerClosed) alike in every phase (_shared_step); each step
@@ -23,7 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from . import auth as auth_mod
 from .auth import (
@@ -88,7 +90,8 @@ class Start:
 @dataclass(frozen=True)
 class FrameReceived:
     message: Message
-    data_behind: bool = False  # bytes already wait after this frame
+    # Asked only where the frame would hand off: do bytes already wait behind it?
+    data_behind: Callable[[], bool] = lambda: False
 
 
 @dataclass(frozen=True)
@@ -285,7 +288,7 @@ def _server_initialize(
             )
         contexts.append(ctx)
 
-    if event.data_behind:
+    if event.data_behind():
         # Bytes sent before the connect confirmation must never reach the application.
         return _refuse(CloseCause.PROTOCOL_VIOLATION, EARLY_DATA_TEXT)
     first = contexts[0]

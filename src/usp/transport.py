@@ -19,8 +19,8 @@ write cannot undo each other's settings.
 
 FrameChannel, the package's one frame reader, binds the wire format to a
 stream: one send() per message, one recv() per frame however the bytes
-were chunked. recv() reads no byte past its frame, so the driver's
-pending() peek after an initialize sees all a client sent too early.
+were chunked. recv() reads no byte past its frame, so a pending() peek
+at handoff sees all a client sent too early.
 """
 
 from __future__ import annotations

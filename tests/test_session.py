@@ -567,7 +567,7 @@ def test_client_peer_closed_in_every_phase(state, ending):
 def test_data_behind_the_initialize_refuses_the_handoff(state, event):
     # The same initialize without data behind it hands off.
     assert isinstance(server_step(state, event, make_env())[0], HandedOff)
-    early = FrameReceived(event.message, data_behind=True)
+    early = FrameReceived(event.message, data_behind=lambda: True)
     assert server_step(state, early, make_env()) == (
         Closed(CloseCause.PROTOCOL_VIOLATION, EARLY_DATA_TEXT),
         [Send(Error(EARLY_DATA_TEXT))],
@@ -575,11 +575,14 @@ def test_data_behind_the_initialize_refuses_the_handoff(state, event):
 
 
 def test_data_behind_an_initialize_that_starts_auth_changes_nothing():
-    # Nothing is handed off yet; the early bytes are read as the next frame.
-    early = FrameReceived(init_msg("vault").message, data_behind=True)
+    # Nothing is handed off yet, so the machine does not peek; the early
+    # bytes are read as the next frame.
+    peeks = []
+    early = FrameReceived(init_msg("vault").message, data_behind=lambda: peeks.append(1) or True)
     state, actions = server_step(initial_server_state(), early, make_env())
     assert state == AuthInProgress(protocol="psk-cr", streams=(StreamRequest("vault"),))
     assert actions == [Send(Authenticate(protocol="psk-cr")), BeginAuth("psk-cr")]
+    assert peeks == []
 
 
 # --- traces ---
